@@ -14,6 +14,7 @@
 //! * metrics-on overhead must stay under the `max_overhead_frac`
 //!   threshold committed in this bench's own output file.
 
+use bench::{extract_f64, median};
 use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, SimArena};
 use simcore::SimTime;
 use std::time::Instant;
@@ -74,20 +75,6 @@ fn one_rep(registry: Option<&mut obs::metrics::MetricsRegistry>, arena: &mut Sim
     assert_eq!(done, FLOWS_PER_REP, "every flow must complete");
     sim.recycle_into(arena);
     elapsed
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Pull `"key": <float>` out of a committed baseline without a JSON
-/// dependency; returns `None` when the key is absent or malformed.
-fn extract_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &json[json.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn main() {

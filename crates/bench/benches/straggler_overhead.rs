@@ -21,6 +21,7 @@
 use beegfs_core::{
     plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, StripePattern,
 };
+use bench::{extract_f64, median};
 use cluster::{presets, TargetId};
 use ior::{HedgeConfig, IorConfig, Run};
 use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, SimArena};
@@ -114,20 +115,6 @@ fn detector_on_rep(hedged: bool, factory: &RngFactory) -> f64 {
         assert!(out.try_single().expect("one app").duration_s > 0.0);
     }
     t0.elapsed().as_secs_f64()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Pull `"key": <float>` out of a committed baseline without a JSON
-/// dependency; returns `None` when the key is absent or malformed.
-fn extract_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &json[json.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn main() {

@@ -51,6 +51,7 @@
 
 pub mod config;
 pub mod error;
+pub mod fabric;
 pub mod protocol;
 pub mod runner;
 pub mod telemetry;

@@ -42,16 +42,16 @@
 
 use crate::config::{FileLayout, IorConfig};
 use crate::error::{HedgeError, PolicyError, RunError};
+use crate::fabric::{check_fault_inputs, process_writes, WriteFabric};
 use crate::telemetry::UtilizationReport;
-use beegfs_core::faults::FaultKind;
-use beegfs_core::{Allocation, BeeGfs, FaultPlan, FileHandle, TargetState};
-use cluster::{Fabric, FabricNoise, TargetId};
+use beegfs_core::{Allocation, BeeGfs, FaultPlan, FileHandle};
+use cluster::{FabricNoise, TargetId};
 use iostats::agg::{aggregate_bandwidth, AppInterval};
 use serde::{Deserialize, Serialize};
 use simcore::dist::LogNormal;
-use simcore::flow::{FlowId, FluidSim, SimArena};
+use simcore::flow::{FlowId, SimArena};
 use simcore::rng::StreamRng;
-use simcore::time::SimTime;
+use simcore::time::{ns, SimTime};
 use simcore::units::Bandwidth;
 use std::collections::HashMap;
 
@@ -426,17 +426,7 @@ impl<'fs, 'r> Run<'fs, 'r> {
 
     /// Execute the run, consuming one deterministic RNG stream.
     pub fn execute(self, rng: &mut StreamRng) -> Result<(RunOutcome, UtilizationReport), RunError> {
-        execute_run(
-            self.fs,
-            &self.apps,
-            &self.faults,
-            &self.policy,
-            self.hedge,
-            rng,
-            self.recorder,
-            self.arena,
-            self.metrics,
-        )
+        execute_run(self, rng)
     }
 }
 
@@ -491,23 +481,10 @@ impl RunOutcome {
 /// behaviour governed by `policy` and the detection delay by the
 /// management service's heartbeat interval.
 ///
-/// The plan's events are compiled into scheduled capacity changes before
-/// the simulation drains:
-///
-/// * a target going `Offline` at `T` zeroes its device capacity at `T`
-///   — flows crossing it stall physically;
-/// * its recovery restores the noise-sampled capacity at the first
-///   client retry probe that finds the target physically serving
-///   (probes start one heartbeat after the outage, then back off
-///   exponentially; a target that goes down again at or before a probe
-///   swallows it, and the client keeps probing through the flap);
-/// * if no probe succeeds within `policy.deadline_s` of the outage's
-///   start — or the plan never brings the target back — the stalled
-///   writes are abandoned and the run fails with
-///   [`RunError::TargetUnavailable`];
-/// * `Degraded(f)` states and server-link faults are physical slowdowns:
-///   they scale capacities at their event time without any client
-///   involvement.
+/// The plan is compiled into scheduled capacity changes by
+/// [`WriteFabric::compile_faults`] before the simulation drains; a flow
+/// that stalls on one of the compiler's dead targets fails the run with
+/// [`RunError::TargetUnavailable`].
 ///
 /// The deployment's *pre-run* target states (set via
 /// [`BeeGfs::set_target_state`]) still apply from `t = 0`; the plan only
@@ -515,22 +492,20 @@ impl RunOutcome {
 /// mutated by the plan — a run simulates the timeline, it does not
 /// commit it (see [`FaultPlan::final_target_state`] to apply the
 /// aftermath explicitly).
-#[allow(clippy::too_many_arguments)]
 fn execute_run(
-    fs: &mut BeeGfs,
-    apps: &[AppSpec],
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    hedge: Option<HedgeConfig>,
+    run: Run<'_, '_>,
     rng: &mut StreamRng,
-    mut recorder: Option<&mut dyn obs::Recorder>,
-    mut arena: Option<&mut SimArena>,
-    mut metrics: Option<&mut obs::metrics::MetricsRegistry>,
 ) -> Result<(RunOutcome, UtilizationReport), RunError> {
-    /// Seconds to sim-time nanoseconds, the timestamp unit of the trace.
-    fn ns(s: f64) -> u64 {
-        SimTime::from_secs_f64(s).as_nanos()
-    }
+    let Run {
+        fs,
+        apps,
+        faults: plan,
+        policy,
+        hedge,
+        mut recorder,
+        mut arena,
+        mut metrics,
+    } = run;
     if apps.is_empty() {
         return Err(RunError::NoApplications);
     }
@@ -543,7 +518,6 @@ fn execute_run(
             });
         }
     }
-    policy.validate()?;
     if let Some(cfg) = &hedge {
         cfg.validate()?;
     }
@@ -564,23 +538,7 @@ fn execute_run(
             available: platform.compute.max_nodes,
         });
     }
-    for ev in plan.events() {
-        match ev.kind {
-            FaultKind::SetTargetState { target, .. }
-            | FaultKind::SlowDrift { target, .. }
-            | FaultKind::TransientStraggler { target, .. } => {
-                if target.index() >= platform.total_targets() {
-                    return Err(RunError::UnknownFaultTarget(target));
-                }
-            }
-            FaultKind::DegradeServerLink { server, .. }
-            | FaultKind::RestoreServerLink { server } => {
-                if server as usize >= platform.server_count() {
-                    return Err(RunError::UnknownFaultServer(server));
-                }
-            }
-        }
-    }
+    check_fault_inputs(&platform, &plan, &policy)?;
     // Model the unknown interleaving with other tenants between runs.
     fs.randomize_selection_state(rng);
 
@@ -599,7 +557,7 @@ fn execute_run(
     let mut plans = Vec::with_capacity(apps.len());
     let mut node_base = 0usize;
     let mut first_create = true;
-    for spec in apps {
+    for spec in &apps {
         let (cfg, choice) = (&spec.config, &spec.targets);
         let n_files = match cfg.layout {
             FileLayout::SharedFile => 1,
@@ -632,36 +590,19 @@ fn execute_run(
         node_base += cfg.nodes;
     }
 
-    // --- build the fabric and emit flows --------------------------------
-    let fabric = Fabric::build_for(&platform, total_nodes, ppn, &noise, mode);
-    let (mut net, paths) = fabric.into_parts();
-    // Noise-only baselines, recorded before pre-run states compound in:
-    // a mid-run recovery restores these, not the state-scaled factors.
-    let base_ost: Vec<f64> = platform
-        .all_targets()
-        .into_iter()
-        .map(|t| net.factor(paths.ost_resource(t)))
-        .collect();
-    let base_link: Vec<f64> = (0..platform.server_count())
-        .map(|s| net.factor(paths.server_link_resource(s)))
-        .collect();
-    // Degraded/offline target states compound with the sampled noise.
-    for t in platform.all_targets() {
-        let state_factor = fs.target_speed_factor(t);
-        if state_factor != 1.0 {
-            let r = paths.ost_resource(t);
-            let combined = net.factor(r) * state_factor;
-            net.set_factor(r, combined);
-        }
-    }
-
-    let mut sim = match arena.as_deref_mut() {
-        Some(a) => FluidSim::with_arena(net, a),
-        None => FluidSim::new(net),
-    };
+    // --- build the fabric, compile the faults, emit flows -----------------
+    let mut fabric = WriteFabric::build(fs, total_nodes, ppn, &noise, mode, arena.as_deref_mut());
     if metrics.is_some() {
-        sim.enable_metrics();
+        fabric.sim.enable_metrics();
     }
+    let dead = fabric.compile_faults(
+        fs,
+        &plan,
+        &policy,
+        recorder.as_deref_mut(),
+        metrics.as_deref_mut(),
+    );
+    let (mut sim, paths) = fabric.into_parts();
     // Per-target write accounting for the `ior.target_*` distributions;
     // empty (never touched) when no registry is attached.
     let mut target_bytes: Vec<f64> = Vec::new();
@@ -669,186 +610,6 @@ fn execute_run(
     if metrics.is_some() {
         target_bytes = vec![0.0; platform.total_targets()];
         target_chunks = vec![0; platform.total_targets()];
-    }
-
-    // The plan's physical timeline goes into the trace as-is; the
-    // client-visible stall/retry events are emitted below as the
-    // compiler discovers them.
-    if let Some(rec) = recorder.as_deref_mut() {
-        plan.record_into(rec);
-    }
-
-    // --- compile the fault timeline --------------------------------------
-    // Link faults are pure physical slowdowns and compile directly.
-    // Target-state events need the client's view (detection delay plus
-    // retry probes), and whether a probe succeeds depends on the target's
-    // *whole* timeline — a later outage can swallow a probe — so they are
-    // expanded per target (drift ramps become their `Degraded` staircase,
-    // transient stragglers their onset/recovery pair) and compiled
-    // against that merged timeline.
-    let mut target_events: Vec<Vec<(f64, TargetState)>> =
-        vec![Vec::new(); platform.total_targets()];
-    for t in plan.touched_targets() {
-        target_events[t.index()] = plan.target_state_curve(t);
-    }
-    for ev in plan.events() {
-        let at = SimTime::from_secs_f64(ev.at_s);
-        match ev.kind {
-            FaultKind::DegradeServerLink { server, factor } => {
-                let r = paths.server_link_resource(server as usize);
-                sim.schedule_factor_change(at, r, base_link[server as usize] * factor);
-            }
-            FaultKind::RestoreServerLink { server } => {
-                let r = paths.server_link_resource(server as usize);
-                sim.schedule_factor_change(at, r, base_link[server as usize]);
-            }
-            FaultKind::SetTargetState { .. }
-            | FaultKind::SlowDrift { .. }
-            | FaultKind::TransientStraggler { .. } => {}
-        }
-    }
-
-    // Targets whose stalled writes were abandoned (no retry probe found
-    // them serving again within the deadline) stay at zero capacity;
-    // their outage start is kept for the stall report.
-    let mut dead_targets: HashMap<usize, f64> = HashMap::new();
-    for (idx, evs) in target_events.iter().enumerate() {
-        if evs.is_empty() {
-            continue;
-        }
-        let r = paths.ost_resource(TargetId(idx as u32));
-        let base = base_ost[idx];
-        // The target's physical state at `t`, once the plan has touched it.
-        let state_at = |t: f64| {
-            evs.iter()
-                .take_while(|(at_s, _)| *at_s <= t)
-                .last()
-                .map(|&(_, state)| state)
-        };
-        let mut i = 0;
-        while i < evs.len() {
-            let (at_s, state) = evs[i];
-            if !matches!(state, TargetState::Offline) {
-                // Straggler onset / rebuild / un-degrade: a physical
-                // slowdown, applied at the event time.
-                sim.schedule_factor_change(
-                    SimTime::from_secs_f64(at_s),
-                    r,
-                    base * state.speed_factor(),
-                );
-                i += 1;
-                continue;
-            }
-            // Outage: capacity drops to zero now; clients notice one
-            // heartbeat later and probe with backoff. The writes resume
-            // at the first probe that finds the target physically
-            // serving — each candidate recovery is checked against the
-            // timeline at its probe instant, because the target may have
-            // gone down again at or before that probe.
-            sim.schedule_factor_change(SimTime::from_secs_f64(at_s), r, 0.0);
-            let observe = fs.mgmt().observation_time_s(at_s);
-            let mut resume: Option<(f64, TargetState)> = None;
-            for &(rec_s, _) in evs[i + 1..]
-                .iter()
-                .filter(|(_, s)| !matches!(s, TargetState::Offline))
-            {
-                let probe = policy.resume_time_s(observe, rec_s);
-                match state_at(probe) {
-                    Some(TargetState::Offline) | None => continue,
-                    Some(found) => {
-                        resume = Some((probe, found));
-                        break;
-                    }
-                }
-            }
-            match resume {
-                Some((probe_s, found)) if probe_s - at_s <= policy.deadline_s => {
-                    sim.schedule_factor_change(
-                        SimTime::from_secs_f64(probe_s),
-                        r,
-                        base * found.speed_factor(),
-                    );
-                    // The client-visible side of this outage: a stall is
-                    // only observed if recovery did not beat the
-                    // heartbeat (probe_s > observe); every probe before
-                    // the successful one failed.
-                    if probe_s > observe && (recorder.is_some() || metrics.is_some()) {
-                        let probes = policy.probe_times(observe, probe_s);
-                        let failed = probes.len().saturating_sub(1);
-                        if let Some(reg) = metrics.as_deref_mut() {
-                            reg.inc("ior.stalls_observed");
-                            reg.add("ior.retry_probes", failed as u64);
-                            let mut prev = observe;
-                            for &p in &probes {
-                                reg.observe("ior.backoff_wait_s", p - prev);
-                                prev = p;
-                            }
-                        }
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            let target = idx as u32;
-                            rec.record(obs::Event::StallObserved {
-                                at: ns(observe),
-                                target,
-                            });
-                            for (k, &p) in probes[..failed].iter().enumerate() {
-                                rec.record(obs::Event::RetryProbe {
-                                    at: ns(p),
-                                    target,
-                                    attempt: (k + 1) as u32,
-                                });
-                            }
-                            rec.record(obs::Event::RetryResumed {
-                                at: ns(probe_s),
-                                target,
-                                attempts: failed as u32,
-                            });
-                        }
-                    }
-                    // Everything up to the successful probe belonged to
-                    // this one client-visible outage.
-                    i += 1;
-                    while i < evs.len() && evs[i].0 <= probe_s {
-                        i += 1;
-                    }
-                }
-                _ => {
-                    // Never survivably resolved: the writes are abandoned
-                    // and the target stays dead for the rest of the run.
-                    let give_up = at_s + policy.deadline_s;
-                    if let Some(reg) = metrics.as_deref_mut() {
-                        let probes = policy.probe_times(observe, give_up);
-                        reg.inc("ior.stalls_observed");
-                        reg.inc("ior.retries_abandoned");
-                        reg.add("ior.retry_probes", probes.len() as u64);
-                        let mut prev = observe;
-                        for &p in &probes {
-                            reg.observe("ior.backoff_wait_s", p - prev);
-                            prev = p;
-                        }
-                    }
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        let target = idx as u32;
-                        rec.record(obs::Event::StallObserved {
-                            at: ns(observe),
-                            target,
-                        });
-                        for (k, &p) in policy.probe_times(observe, give_up).iter().enumerate() {
-                            rec.record(obs::Event::RetryProbe {
-                                at: ns(p),
-                                target,
-                                attempt: (k + 1) as u32,
-                            });
-                        }
-                        rec.record(obs::Event::RetryAbandoned {
-                            at: ns(give_up),
-                            target,
-                        });
-                    }
-                    dead_targets.insert(idx, at_s);
-                    break;
-                }
-            }
-        }
     }
 
     // Hedged runs split every (process, target) stream into sequential
@@ -870,61 +631,50 @@ fn execute_run(
 
     let mut flow_targets: HashMap<FlowId, TargetId> = HashMap::new();
     for (app_idx, app_plan) in plans.iter().enumerate() {
-        let block = app_plan.cfg.block_size();
-        for p in 0..app_plan.cfg.processes() {
+        for (p, file, target, bytes) in process_writes(&app_plan.cfg, &app_plan.files) {
             let node = app_plan.node_base + p / ppn as usize;
-            let (file, offset) = match app_plan.cfg.layout {
-                FileLayout::SharedFile => (&app_plan.files[0], p as u64 * block),
-                FileLayout::FilePerProcess => (&app_plan.files[p], 0u64),
-            };
             let weight = platform
                 .compute
                 .flow_depth_weight(ppn, file.pattern.stripe_count);
-            for (target, bytes) in file.bytes_per_target(offset, block) {
-                if bytes == 0 {
-                    continue;
-                }
-                let path = paths.write_path(node, target);
-                let flow_bytes = match hedge {
-                    // First chunk now; the drain loop issues the rest as
-                    // each chunk completes, redirecting when flagged.
-                    Some(cfg) => bytes as f64 / f64::from(cfg.chunks),
-                    None => bytes as f64,
-                };
-                let id = sim.start_weighted_flow_at(
-                    SimTime::from_secs_f64(app_plan.start_s),
-                    path,
-                    flow_bytes,
-                    app_idx as u64,
+            let flow_bytes = match hedge {
+                // First chunk now; the drain loop issues the rest as each
+                // chunk completes, redirecting when flagged.
+                Some(cfg) => bytes as f64 / f64::from(cfg.chunks),
+                None => bytes as f64,
+            };
+            let id = sim.start_weighted_flow_at(
+                SimTime::from_secs_f64(app_plan.start_s),
+                paths.write_path(node, target),
+                flow_bytes,
+                app_idx as u64,
+                weight,
+            );
+            if let Some(rec) = recorder.as_deref_mut() {
+                rec.record(obs::Event::FlowMeta {
+                    flow: id.index() as u32,
+                    app: app_idx as u32,
+                    process: p as u32,
+                    target: target.0,
+                });
+            }
+            flow_targets.insert(id, target);
+            if !target_bytes.is_empty() {
+                target_bytes[target.index()] += flow_bytes;
+                target_chunks[target.index()] += 1;
+            }
+            if let Some(cfg) = hedge {
+                flow_stream.insert(id, streams.len());
+                streams.push(ChunkStream {
+                    app: app_idx,
+                    process: p,
+                    node,
+                    target,
+                    allowed: file.targets.clone(),
+                    chunk_bytes: flow_bytes,
+                    remaining: cfg.chunks - 1,
                     weight,
-                );
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record(obs::Event::FlowMeta {
-                        flow: id.index() as u32,
-                        app: app_idx as u32,
-                        process: p as u32,
-                        target: target.0,
-                    });
-                }
-                flow_targets.insert(id, target);
-                if !target_bytes.is_empty() {
-                    target_bytes[target.index()] += flow_bytes;
-                    target_chunks[target.index()] += 1;
-                }
-                if let Some(cfg) = hedge {
-                    flow_stream.insert(id, streams.len());
-                    streams.push(ChunkStream {
-                        app: app_idx,
-                        process: p,
-                        node,
-                        target,
-                        allowed: file.targets.clone(),
-                        chunk_bytes: flow_bytes,
-                        remaining: cfg.chunks - 1,
-                        weight,
-                        started_s: app_plan.start_s,
-                    });
-                }
+                    started_s: app_plan.start_s,
+                });
             }
         }
     }
@@ -1074,12 +824,12 @@ fn execute_run(
                     .flows
                     .iter()
                     .filter_map(|f| flow_targets.get(f).copied())
-                    .filter_map(|t| dead_targets.get(&t.index()).map(|&s| (s, t)))
-                    .min_by(|a, b| a.0.total_cmp(&b.0));
+                    .filter_map(|t| dead.iter().find(|d| d.target == t))
+                    .min_by(|a, b| a.outage_start_s.total_cmp(&b.outage_start_s));
                 return Err(match dead {
-                    Some((outage_start_s, target)) => RunError::TargetUnavailable {
-                        target,
-                        outage_start_s,
+                    Some(d) => RunError::TargetUnavailable {
+                        target: d.target,
+                        outage_start_s: d.outage_start_s,
                         stalled_at_s: stall.at.as_secs_f64(),
                     },
                     // A zero-capacity stall the fault model does not

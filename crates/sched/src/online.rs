@@ -13,6 +13,10 @@
 //! so a session is O(total flows) — amortized O(1) per arrival, which
 //! is what opens the million-arrival regime.
 //!
+//! The write path is the batch runner's: fabrics, stripe split and the
+//! one fault-timeline compiler come from [`ior::fabric`], and the
+//! compiler's dead targets become the session's eviction calendar.
+//!
 //! # Semantics relative to the frozen oracle
 //!
 //! The frozen path is retained verbatim as the *reference oracle*
@@ -35,26 +39,25 @@
 //!   run. The admission's sampled startup overhead is shared by both
 //!   numerator and denominator.
 //! * **Fault re-placement** cannot rewind history: when the retry
-//!   deadline expires on a dead target, the affected applications' live
-//!   flows are cancelled ([`FluidSim::cancel_flow`]), their pooled
-//!   remaining bytes are re-striped evenly over a fresh placement, and
-//!   the decision log gains `replaced` entries — work already done
-//!   stays done, where the frozen oracle re-simulates the incumbents'
-//!   whole runs.
+//!   deadline expires on a dead target ([`DeadTarget::abandon_s`]), the
+//!   affected applications' live flows are cancelled
+//!   ([`FluidSim::cancel_flow`]), their pooled remaining bytes are
+//!   re-striped evenly over a fresh placement, and the decision log
+//!   gains `replaced` entries — work already done stays done, where the
+//!   frozen oracle re-simulates the incumbents' whole runs.
 //!
 //! Hedged writes remain frozen-only ([`SchedError::OnlineUnsupported`]):
 //! chunked issue-and-redirect belongs to the per-run engine.
 
-use beegfs_core::faults::FaultKind;
 use beegfs_core::{restripe_split, BeeGfs, FaultPlan, FileHandle, TargetState};
-use cluster::{Fabric, FabricNoise, FabricPaths, Platform, TargetId};
+use cluster::{FabricNoise, FabricPaths, Platform, TargetId};
+use ior::fabric::{check_fault_inputs, process_writes, DeadTarget, WriteFabric};
 use ior::{IorConfig, RetryPolicy, RunError};
-use iostats::agg::{aggregate_bandwidth, AppInterval};
 use serde::{Deserialize, Serialize};
 use simcore::dist::LogNormal;
 use simcore::flow::{FlowId, FluidSim};
 use simcore::rng::{RngFactory, StreamRng};
-use simcore::time::SimTime;
+use simcore::time::{ns, SimTime};
 use simcore::units::Bandwidth;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
@@ -62,8 +65,10 @@ use storage::AccessMode;
 
 use crate::arrivals::AppRequest;
 use crate::error::SchedError;
-use crate::policy::{AppObservation, ClusterView, Placement, PlacementPolicy, RestripeDecision};
-use crate::scheduler::{AppOutcome, Decision, RestripeRecord, SchedOutcome, Scheduler};
+use crate::policy::{AppObservation, Placement, PlacementPolicy, RestripeDecision};
+use crate::scheduler::{
+    fits, AppOutcome, Decision, RestripeRecord, SchedOutcome, Scheduler, ViewInputs,
+};
 
 /// Period of the adaptive feedback loop: how often a feedback-wanting
 /// policy sees each running application's observed throughput. Scheduled
@@ -138,6 +143,18 @@ struct LiveApp {
     anchor_s: f64,
 }
 
+impl LiveApp {
+    /// Restart the feedback window at a stripe change, so the adaptive
+    /// policy judges the new placement on its own samples.
+    fn restart_window(&mut self, at_s: f64) {
+        self.rate_obs.observe(ns(at_s), 0.0);
+        self.anchor_bytes = self.rate_obs.bytes_until(ns(at_s));
+        self.anchor_s = at_s;
+        self.samples = 0;
+        self.last_change_s = at_s;
+    }
+}
+
 /// External calendar event kinds at one instant, in tie-break order:
 /// evictions repair the pool before releases free capacity, both
 /// precede a simultaneous arrival asking for that capacity (the same
@@ -161,14 +178,11 @@ struct LiveSim {
     /// ideal I/O time.
     shadow: FluidSim<'static>,
     shadow_paths: FabricPaths,
-    /// Noise-only capacity factors, recorded before pre-session target
-    /// states compound in — fault recovery restores these.
-    base_ost: Vec<f64>,
-    base_link: Vec<f64>,
     free_nodes: BTreeSet<usize>,
     /// Windowed per-target utilization feed for
-    /// [`ClusterView::busy_fraction`]: busy-seconds snapshots at the
-    /// last refresh, and the fraction over the window since.
+    /// [`ClusterView::busy_fraction`](crate::ClusterView::busy_fraction):
+    /// busy-seconds snapshots at the last refresh, and the fraction over
+    /// the window since.
     busy_snapshot: Vec<f64>,
     window_start_s: f64,
     busy_fraction: Vec<f64>,
@@ -178,43 +192,36 @@ impl LiveSim {
     /// Build the session's fabrics: the full compute partition, one
     /// sampled hardware noise shared by live and shadow, the
     /// deployment's pre-session target states compounded into both.
-    fn build(fs: &BeeGfs, ppn: u32, mode: AccessMode, noise: &FabricNoise) -> Self {
+    /// The fault plan is compiled into the live fabric only — ideals stay
+    /// fault-free, as the frozen path's solo runs do — and its dead
+    /// targets are the eviction calendar.
+    fn build(
+        fs: &BeeGfs,
+        ppn: u32,
+        mode: AccessMode,
+        noise: &FabricNoise,
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
+    ) -> (Self, Vec<DeadTarget>) {
         let platform = fs.platform();
         let max_nodes = platform.compute.max_nodes;
-        let (mut net, paths) =
-            Fabric::build_for(platform, max_nodes, ppn, noise, mode).into_parts();
-        let base_ost: Vec<f64> = platform
-            .all_targets()
-            .into_iter()
-            .map(|t| net.factor(paths.ost_resource(t)))
-            .collect();
-        let base_link: Vec<f64> = (0..platform.server_count())
-            .map(|s| net.factor(paths.server_link_resource(s)))
-            .collect();
-        let (mut shadow_net, shadow_paths) =
-            Fabric::build_for(platform, max_nodes, ppn, noise, mode).into_parts();
-        for t in platform.all_targets() {
-            let state_factor = fs.target_speed_factor(t);
-            if state_factor != 1.0 {
-                let r = paths.ost_resource(t);
-                net.set_factor(r, net.factor(r) * state_factor);
-                let sr = shadow_paths.ost_resource(t);
-                shadow_net.set_factor(sr, shadow_net.factor(sr) * state_factor);
-            }
-        }
+        let mut live = WriteFabric::build(fs, max_nodes, ppn, noise, mode, None);
+        let dead = live.compile_faults(fs, plan, retry, None, None);
+        let (sim, paths) = live.into_parts();
+        let (shadow, shadow_paths) =
+            WriteFabric::build(fs, max_nodes, ppn, noise, mode, None).into_parts();
         let n_targets = platform.total_targets();
-        LiveSim {
-            sim: FluidSim::new(net),
+        let live = LiveSim {
+            sim,
             paths,
-            shadow: FluidSim::new(shadow_net),
+            shadow,
             shadow_paths,
-            base_ost,
-            base_link,
             free_nodes: (0..max_nodes).collect(),
             busy_snapshot: vec![0.0; n_targets],
             window_start_s: 0.0,
             busy_fraction: vec![0.0; n_targets],
-        }
+        };
+        (live, dead)
     }
 
     /// Refresh the windowed utilization estimate: per-target busy time
@@ -260,38 +267,30 @@ impl LiveSim {
         nodes: &[usize],
         platform: &Platform,
     ) -> (Vec<LiveFlow>, f64) {
-        let block = cfg.block_size();
         let weight = platform
             .compute
             .flow_depth_weight(cfg.ppn, file.pattern.stripe_count);
         let now = self.sim.now();
         let shadow_t0 = self.shadow.now();
         let mut flows = Vec::new();
-        for p in 0..cfg.processes() {
+        // SharedFile only (validated up front).
+        for (p, _, target, bytes) in process_writes(cfg, std::slice::from_ref(file)) {
             let node = nodes[p / cfg.ppn as usize];
-            // SharedFile only (validated up front): processes interleave
-            // into one file at block-sized offsets.
-            let offset = p as u64 * block;
-            for (target, bytes) in file.bytes_per_target(offset, block) {
-                if bytes == 0 {
-                    continue;
-                }
-                let id = self.sim.start_weighted_flow_at(
-                    now,
-                    self.paths.write_path(node, target),
-                    bytes as f64,
-                    app as u64,
-                    weight,
-                );
-                self.shadow.start_weighted_flow_at(
-                    shadow_t0,
-                    self.shadow_paths.write_path(node, target),
-                    bytes as f64,
-                    app as u64,
-                    weight,
-                );
-                flows.push(LiveFlow { id, target });
-            }
+            let id = self.sim.start_weighted_flow_at(
+                now,
+                self.paths.write_path(node, target),
+                bytes as f64,
+                app as u64,
+                weight,
+            );
+            self.shadow.start_weighted_flow_at(
+                shadow_t0,
+                self.shadow_paths.write_path(node, target),
+                bytes as f64,
+                app as u64,
+                weight,
+            );
+            flows.push(LiveFlow { id, target });
         }
         let ideal_end = self
             .shadow
@@ -341,6 +340,94 @@ impl Session<'_, '_, '_> {
         }
     }
 
+    /// Liveness and outstanding bytes of the running set, in running
+    /// order.
+    fn view_inputs(&self) -> ViewInputs {
+        ViewInputs::new(
+            self.fs,
+            self.running.iter().map(|r| (&r.targets[..], r.bytes)),
+        )
+    }
+
+    /// The still-active flows of running app `pos` and their pooled
+    /// remaining bytes. A flow that completed at this very instant is
+    /// inactive with its completion still queued: it carries no bytes
+    /// and is left to normal completion handling.
+    fn in_flight(&self, pos: usize) -> (Vec<FlowId>, f64) {
+        let net = self.live.sim.network();
+        let mut ids = Vec::new();
+        let mut remaining = 0.0f64;
+        for f in &self.running[pos].flows {
+            if net.is_active(f.id) {
+                ids.push(f.id);
+                remaining += net.remaining(f.id);
+            }
+        }
+        (ids, remaining)
+    }
+
+    /// Cancel running app `pos`'s in-flight flows and drop its flow list.
+    fn cancel_flows(&mut self, pos: usize, in_flight: Vec<FlowId>) {
+        for id in in_flight {
+            self.live.sim.cancel_flow(id);
+            self.live_flows -= 1;
+        }
+        self.running[pos].flows.clear();
+    }
+
+    /// Start one flow of running app `pos` from `node` to `target` at the
+    /// live clock.
+    fn start_flow(&mut self, pos: usize, node: usize, target: TargetId, bytes: f64, weight: f64) {
+        let a = &mut self.running[pos];
+        let id = self.live.sim.start_weighted_flow_at(
+            self.live.sim.now(),
+            self.live.paths.write_path(node, target),
+            bytes,
+            a.app as u64,
+            weight,
+        );
+        a.flows.push(LiveFlow { id, target });
+        self.live_flows += 1;
+    }
+
+    /// Move running app `pos` onto `file` at `at_s`, a mid-flight stripe
+    /// change of `kind`: restart its feedback window, and log a replacing
+    /// decision and a restripe record. Returns the stripe sets before and
+    /// after, as flat ids.
+    fn switch_file(
+        &mut self,
+        pos: usize,
+        file: FileHandle,
+        at_s: f64,
+        kind: &str,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let a = &mut self.running[pos];
+        let from: Vec<u32> = a.targets.iter().map(|t| t.0).collect();
+        let to: Vec<u32> = file.targets.iter().map(|t| t.0).collect();
+        a.targets = file.targets.clone();
+        a.file = file;
+        a.restart_window(at_s);
+        self.decisions.push(Decision {
+            app: a.app as u32,
+            arrival_s: a.arrival_s,
+            admit_s: at_s,
+            policy: self.policy.name().to_string(),
+            targets: to.clone(),
+            replaced: true,
+        });
+        self.restripes.push(RestripeRecord {
+            app: a.app as u32,
+            at_s,
+            kind: kind.to_string(),
+            from: from.clone(),
+            to: to.clone(),
+        });
+        if let Some(reg) = self.metrics.as_deref_mut() {
+            reg.inc(&format!("sched.decisions.{}", self.policy.name()));
+        }
+        (from, to)
+    }
+
     /// Ask the policy for a placement against the live cluster view:
     /// management-service liveness, outstanding bytes of the running
     /// set, and the windowed busy fractions.
@@ -351,29 +438,8 @@ impl Session<'_, '_, '_> {
         rng: &mut StreamRng,
     ) -> Result<Placement, SchedError> {
         self.live.refresh_busy(&self.platform);
-        let online: Vec<bool> = self
-            .platform
-            .all_targets()
-            .into_iter()
-            .map(|t| self.fs.mgmt().state(t).selectable())
-            .collect();
-        let mut outstanding = vec![0.0f64; self.platform.server_count()];
-        for r in &self.running {
-            if r.targets.is_empty() {
-                continue;
-            }
-            let share = r.bytes as f64 / r.targets.len() as f64;
-            for &t in &r.targets {
-                outstanding[self.platform.server_of(t).index()] += share;
-            }
-        }
-        let view = ClusterView {
-            platform: &self.platform,
-            online: &online,
-            outstanding_bytes: &outstanding,
-            busy_fraction: &self.live.busy_fraction,
-            suspected: &self.suspected,
-        };
+        let inputs = self.view_inputs();
+        let view = inputs.view(&self.platform, &self.live.busy_fraction, &self.suspected);
         Ok(self.policy.place(&view, stripe, bytes, rng)?)
     }
 
@@ -526,7 +592,7 @@ impl Session<'_, '_, '_> {
         });
         while let Some(&head) = self.queue.front() {
             if !fits(
-                &self.running,
+                self.running.iter().map(|r| r.cfg.nodes),
                 self.reqs[head].config.nodes,
                 self.max_concurrent,
                 self.max_nodes,
@@ -567,21 +633,10 @@ impl Session<'_, '_, '_> {
             if !self.running[pos].flows.iter().any(|f| f.target == target) {
                 continue;
             }
-            // A flow can have completed at this very instant (its
-            // Completion is queued but not yet processed — e.g. a
+            // A flow can have completed at this very instant (e.g. a
             // second same-instant eviction already moved this app, or
-            // the write finished as the deadline expired): such flows
-            // are no longer active, carry zero remaining bytes, and
-            // must be left for normal completion handling.
-            let mut remaining = 0.0f64;
-            let mut in_flight = Vec::new();
-            for f in &self.running[pos].flows {
-                if !self.live.sim.network().is_active(f.id) {
-                    continue;
-                }
-                in_flight.push(f.id);
-                remaining += self.live.sim.network().remaining(f.id);
-            }
+            // the write finished as the deadline expired).
+            let (in_flight, remaining) = self.in_flight(pos);
             if in_flight.is_empty() || remaining <= 0.0 {
                 // Nothing left to move: the app is finishing at this
                 // instant; let its queued completions run their course.
@@ -590,11 +645,7 @@ impl Session<'_, '_, '_> {
                 // it would never complete.)
                 continue;
             }
-            for id in in_flight {
-                self.live.sim.cancel_flow(id);
-                self.live_flows -= 1;
-            }
-            self.running[pos].flows.clear();
+            self.cancel_flows(pos, in_flight);
             let (app, stripe, bytes) = {
                 let a = &self.running[pos];
                 (a.app, a.targets.len() as u32, a.bytes)
@@ -608,67 +659,28 @@ impl Session<'_, '_, '_> {
                 .platform
                 .compute
                 .flow_depth_weight(self.reqs[app].config.ppn, file.pattern.stripe_count);
-            let now = self.live.sim.now();
-            let a = &mut self.running[pos];
-            let from: Vec<u32> = a.targets.iter().map(|t| t.0).collect();
-            a.targets = file.targets.clone();
-            a.file = file;
-            // The stripe set changed under the app: restart the
-            // feedback window so the adaptive policy judges the new
-            // placement on its own samples.
-            a.rate_obs.observe(ns(at_s), 0.0);
-            a.anchor_bytes = a.rate_obs.bytes_until(ns(at_s));
-            a.anchor_s = at_s;
-            a.samples = 0;
-            a.last_change_s = at_s;
+            let (_, to) = self.switch_file(pos, file, at_s, "evict");
             // Even re-striping of the pooled remainder: one flow per
             // (node, new target) pair, an approximation of the client
             // re-issuing its abandoned writes under the new pattern.
-            let share = remaining / (a.nodes.len() * a.targets.len()) as f64;
-            for &node in &a.nodes {
-                for &t in &a.targets {
-                    let id = self.live.sim.start_weighted_flow_at(
-                        now,
-                        self.live.paths.write_path(node, t),
-                        share,
-                        a.app as u64,
-                        weight,
-                    );
-                    a.flows.push(LiveFlow { id, target: t });
-                    self.live_flows += 1;
+            let (nodes, targets) = (
+                self.running[pos].nodes.clone(),
+                self.running[pos].targets.clone(),
+            );
+            let share = remaining / (nodes.len() * targets.len()) as f64;
+            for &node in &nodes {
+                for &t in &targets {
+                    self.start_flow(pos, node, t, share, weight);
                 }
             }
-            let (arrival_s, targets) = {
-                let a = &self.running[pos];
-                (
-                    a.arrival_s,
-                    a.targets.iter().map(|t| t.0).collect::<Vec<_>>(),
-                )
-            };
             self.record(obs::Event::SchedPlaced {
                 at: ns(at_s),
                 app: app as u32,
                 policy: self.policy.name().to_string(),
-                targets: targets.clone(),
-            });
-            self.decisions.push(Decision {
-                app: app as u32,
-                arrival_s,
-                admit_s: at_s,
-                policy: self.policy.name().to_string(),
-                targets: targets.clone(),
-                replaced: true,
-            });
-            self.restripes.push(RestripeRecord {
-                app: app as u32,
-                at_s,
-                kind: "evict".to_string(),
-                from,
-                to: targets,
+                targets: to,
             });
             if let Some(reg) = self.metrics.as_deref_mut() {
                 reg.inc("sched.replacements");
-                reg.inc(&format!("sched.decisions.{}", self.policy.name()));
             }
         }
         Ok(())
@@ -682,23 +694,7 @@ impl Session<'_, '_, '_> {
     fn on_eval(&mut self, now_s: f64) -> Result<(), SchedError> {
         self.live.refresh_busy(&self.platform);
         let now_ns = ns(now_s);
-        let online: Vec<bool> = self
-            .platform
-            .all_targets()
-            .into_iter()
-            .map(|t| self.fs.mgmt().state(t).selectable())
-            .collect();
-        let mut outstanding = vec![0.0f64; self.platform.server_count()];
-        for r in &self.running {
-            if r.targets.is_empty() {
-                continue;
-            }
-            let share = r.bytes as f64 / r.targets.len() as f64;
-            for &t in &r.targets {
-                outstanding[self.platform.server_of(t).index()] += share;
-            }
-        }
-        let busy = self.live.busy_fraction.clone();
+        let inputs = self.view_inputs();
         let mut actions: Vec<(usize, RestripeDecision)> = Vec::new();
         for pos in 0..self.running.len() {
             // Instantaneous per-app rate and the storage-side capacity
@@ -742,13 +738,7 @@ impl Session<'_, '_, '_> {
             } else {
                 bps
             };
-            let view = ClusterView {
-                platform: &self.platform,
-                online: &online,
-                outstanding_bytes: &outstanding,
-                busy_fraction: &busy,
-                suspected: &self.suspected,
-            };
+            let view = inputs.view(&self.platform, &self.live.busy_fraction, &self.suspected);
             let snapshot = AppObservation {
                 app: a.app,
                 targets: &a.targets,
@@ -796,19 +786,7 @@ impl Session<'_, '_, '_> {
         // Pooled not-yet-drained bytes, read *before* touching any flow:
         // a rejected restripe must leave the application exactly as it
         // was.
-        // Flows that completed at this very instant are inactive with
-        // their Completion still queued — they carry no redirectable
-        // bytes and must not be cancelled.
-        let in_flight: Vec<FlowId> = self.running[pos]
-            .flows
-            .iter()
-            .map(|f| f.id)
-            .filter(|&id| self.live.sim.network().is_active(id))
-            .collect();
-        let remaining: f64 = in_flight
-            .iter()
-            .map(|&id| self.live.sim.network().remaining(id))
-            .sum();
+        let (in_flight, remaining) = self.in_flight(pos);
         if remaining < 1.0 {
             // Nothing left to redirect; the app is about to finish.
             return Ok(());
@@ -850,63 +828,25 @@ impl Session<'_, '_, '_> {
             .platform
             .compute
             .flow_depth_weight(1, file.pattern.stripe_count);
-        let now = self.live.sim.now();
-        for id in in_flight {
-            self.live.sim.cancel_flow(id);
-            self.live_flows -= 1;
-        }
-        let a = &mut self.running[pos];
-        a.flows.clear();
-        let from: Vec<u32> = a.targets.iter().map(|t| t.0).collect();
-        a.targets = file.targets.clone();
-        a.file = file;
+        self.cancel_flows(pos, in_flight);
+        let kind = d.kind.label();
+        let (from, to) = self.switch_file(pos, file, at_s, kind);
         // The metadata rewrite costs wall time, like the create it
         // mirrors; the solo ideal is untouched (same rule as evictions).
-        a.overhead_s += latency_s;
-        for (t, tb) in &split.redirected {
-            if *tb == 0 {
+        self.running[pos].overhead_s += latency_s;
+        let nodes = self.running[pos].nodes.clone();
+        for &(t, tb) in &split.redirected {
+            if tb == 0 {
                 continue;
             }
-            let per_node = *tb as f64 * scale / a.nodes.len() as f64;
-            for &node in &a.nodes {
-                let id = self.live.sim.start_weighted_flow_at(
-                    now,
-                    self.live.paths.write_path(node, *t),
-                    per_node,
-                    app as u64,
-                    weight,
-                );
-                a.flows.push(LiveFlow { id, target: *t });
-                self.live_flows += 1;
+            let per_node = tb as f64 * scale / nodes.len() as f64;
+            for &node in &nodes {
+                self.start_flow(pos, node, t, per_node, weight);
             }
         }
-        // Restart the feedback window for the new stripe set.
-        a.rate_obs.observe(now_ns, 0.0);
-        a.anchor_bytes = a.rate_obs.bytes_until(now_ns);
-        a.anchor_s = at_s;
-        a.samples = 0;
-        a.last_change_s = at_s;
-        let to: Vec<u32> = a.targets.iter().map(|t| t.0).collect();
-        let arrival_s = a.arrival_s;
-        let kind = d.kind.label();
         self.record(obs::Event::SchedRestriped {
             at: now_ns,
             app: app as u32,
-            kind: kind.to_string(),
-            from: from.clone(),
-            to: to.clone(),
-        });
-        self.decisions.push(Decision {
-            app: app as u32,
-            arrival_s,
-            admit_s: at_s,
-            policy: self.policy.name().to_string(),
-            targets: to.clone(),
-            replaced: true,
-        });
-        self.restripes.push(RestripeRecord {
-            app: app as u32,
-            at_s,
             kind: kind.to_string(),
             from,
             to,
@@ -914,7 +854,6 @@ impl Session<'_, '_, '_> {
         if let Some(reg) = self.metrics.as_deref_mut() {
             reg.inc("sched.restripes");
             reg.inc(&format!("sched.restripes.{kind}"));
-            reg.inc(&format!("sched.decisions.{}", self.policy.name()));
         }
         Ok(())
     }
@@ -947,27 +886,7 @@ pub(crate) fn serve_online(
     }
     let platform = fs.platform().clone();
     let max_nodes = platform.compute.max_nodes;
-
-    // The same fault-plan validation the per-run engine applies: a plan
-    // naming hardware the platform does not have is a typed error, not
-    // a panic in the timeline compiler.
-    for ev in faults.events() {
-        match ev.kind {
-            FaultKind::SetTargetState { target, .. }
-            | FaultKind::SlowDrift { target, .. }
-            | FaultKind::TransientStraggler { target, .. } => {
-                if target.index() >= platform.total_targets() {
-                    return Err(SchedError::Run(RunError::UnknownFaultTarget(target)));
-                }
-            }
-            FaultKind::DegradeServerLink { server, .. }
-            | FaultKind::RestoreServerLink { server } => {
-                if server as usize >= platform.server_count() {
-                    return Err(SchedError::Run(RunError::UnknownFaultServer(server)));
-                }
-            }
-        }
-    }
+    check_fault_inputs(&platform, &faults, &retry).map_err(SchedError::Run)?;
 
     // One session-wide hardware reality: the selection-state shuffle,
     // one noise sample, the startup-overhead distribution.
@@ -976,8 +895,14 @@ pub(crate) fn serve_online(
     let noise = FabricNoise::sample(&platform, &mut session_rng);
     let overhead_dist = LogNormal::unit_mean(platform.run_overhead_sigma);
 
-    let mut live = LiveSim::build(fs, reqs[0].config.ppn, reqs[0].config.mode, &noise);
-    let evictions = compile_faults(&mut live, fs, &faults, &retry, &platform);
+    let (live, evictions) = LiveSim::build(
+        fs,
+        reqs[0].config.ppn,
+        reqs[0].config.mode,
+        &noise,
+        &faults,
+        &retry,
+    );
 
     let n = reqs.len();
     let mut s = Session {
@@ -1020,8 +945,8 @@ pub(crate) fn serve_online(
                 next = Some((t, kind));
             }
         };
-        if let Some(&(at_s, _)) = evictions.get(evict_i) {
-            consider(ns(at_s), External::Evict);
+        if let Some(d) = evictions.get(evict_i) {
+            consider(ns(d.abandon_s), External::Evict);
         }
         if let Some(&Reverse((tns, _))) = s.releases.peek() {
             consider(tns, External::Release);
@@ -1056,9 +981,9 @@ pub(crate) fn serve_online(
 
         match kind {
             External::Evict => {
-                let (at_s, target) = evictions[evict_i];
+                let d = evictions[evict_i];
                 evict_i += 1;
-                s.on_eviction(at_s, target, evict_i as u64)?;
+                s.on_eviction(d.abandon_s, d.target, evict_i as u64)?;
             }
             External::Release => {
                 let Reverse((_, app_idx)) = s.releases.pop().expect("peeked above");
@@ -1081,7 +1006,7 @@ pub(crate) fn serve_online(
                 }
                 if s.queue.is_empty()
                     && fits(
-                        &s.running,
+                        s.running.iter().map(|r| r.cfg.nodes),
                         reqs[i].config.nodes,
                         s.max_concurrent,
                         max_nodes,
@@ -1121,147 +1046,12 @@ pub(crate) fn serve_online(
     if let Some(reg) = s.metrics.as_deref_mut() {
         reg.add("sched.online.sim_events", sim_events);
     }
-    let apps: Vec<AppOutcome> = s
-        .outcomes
-        .into_iter()
-        .map(|o| o.expect("every request was admitted exactly once"))
-        .collect();
-    let intervals: Vec<AppInterval> = apps
-        .iter()
-        .map(|a| AppInterval {
-            start_s: a.admit_s,
-            end_s: a.end_s,
-            volume_bytes: a.bytes,
-        })
-        .collect();
-    let makespan_s = apps.iter().map(|a| a.end_s).fold(0.0, f64::max);
-    Ok(SchedOutcome {
-        decisions: s.decisions,
-        restripes: s.restripes,
-        aggregate: Bandwidth::from_bytes_per_sec(aggregate_bandwidth(&intervals)),
-        makespan_s,
+    Ok(SchedOutcome::assemble(
+        s.outcomes,
+        s.decisions,
+        s.restripes,
         sim_events,
-        apps,
-    })
-}
-
-/// Compile the session's fault plan into the live simulation's calendar
-/// and return the dead-target eviction instants, time-ordered.
-///
-/// This is the run engine's compiler with the client-observability
-/// emission stripped: link faults and survivable target states become
-/// scheduled capacity-factor changes; an outage no retry probe
-/// survivably resolves within the deadline yields an eviction at
-/// `outage + deadline_s` — the instant the scheduler abandons the
-/// target, marks it offline, and re-places whoever still writes to it.
-/// The shadow fabric sees none of this: ideals stay fault-free, as the
-/// frozen path's solo runs do.
-fn compile_faults(
-    live: &mut LiveSim,
-    fs: &BeeGfs,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    platform: &Platform,
-) -> Vec<(f64, TargetId)> {
-    let mut target_events: Vec<Vec<(f64, TargetState)>> =
-        vec![Vec::new(); platform.total_targets()];
-    for t in plan.touched_targets() {
-        target_events[t.index()] = plan.target_state_curve(t);
-    }
-    for ev in plan.events() {
-        let at = SimTime::from_secs_f64(ev.at_s);
-        match ev.kind {
-            FaultKind::DegradeServerLink { server, factor } => {
-                let r = live.paths.server_link_resource(server as usize);
-                live.sim
-                    .schedule_factor_change(at, r, live.base_link[server as usize] * factor);
-            }
-            FaultKind::RestoreServerLink { server } => {
-                let r = live.paths.server_link_resource(server as usize);
-                live.sim
-                    .schedule_factor_change(at, r, live.base_link[server as usize]);
-            }
-            FaultKind::SetTargetState { .. }
-            | FaultKind::SlowDrift { .. }
-            | FaultKind::TransientStraggler { .. } => {}
-        }
-    }
-    let mut evictions: Vec<(f64, TargetId)> = Vec::new();
-    for (idx, evs) in target_events.iter().enumerate() {
-        if evs.is_empty() {
-            continue;
-        }
-        let r = live.paths.ost_resource(TargetId(idx as u32));
-        let base = live.base_ost[idx];
-        let state_at = |t: f64| {
-            evs.iter()
-                .take_while(|(at_s, _)| *at_s <= t)
-                .last()
-                .map(|&(_, state)| state)
-        };
-        let mut i = 0;
-        while i < evs.len() {
-            let (at_s, state) = evs[i];
-            if !matches!(state, TargetState::Offline) {
-                live.sim.schedule_factor_change(
-                    SimTime::from_secs_f64(at_s),
-                    r,
-                    base * state.speed_factor(),
-                );
-                i += 1;
-                continue;
-            }
-            // Outage: capacity to zero now; writes resume at the first
-            // retry probe that finds the target physically serving.
-            live.sim
-                .schedule_factor_change(SimTime::from_secs_f64(at_s), r, 0.0);
-            let observe = fs.mgmt().observation_time_s(at_s);
-            let mut resume: Option<(f64, TargetState)> = None;
-            for &(rec_s, _) in evs[i + 1..]
-                .iter()
-                .filter(|(_, state)| !matches!(state, TargetState::Offline))
-            {
-                let probe = policy.resume_time_s(observe, rec_s);
-                match state_at(probe) {
-                    Some(TargetState::Offline) | None => continue,
-                    Some(found) => {
-                        resume = Some((probe, found));
-                        break;
-                    }
-                }
-            }
-            match resume {
-                Some((probe_s, found)) if probe_s - at_s <= policy.deadline_s => {
-                    live.sim.schedule_factor_change(
-                        SimTime::from_secs_f64(probe_s),
-                        r,
-                        base * found.speed_factor(),
-                    );
-                    i += 1;
-                    while i < evs.len() && evs[i].0 <= probe_s {
-                        i += 1;
-                    }
-                }
-                _ => {
-                    evictions.push((at_s + policy.deadline_s, TargetId(idx as u32)));
-                    break;
-                }
-            }
-        }
-    }
-    evictions.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    evictions
-}
-
-/// Seconds to the nanosecond timestamps of the event vocabulary.
-fn ns(s: f64) -> u64 {
-    SimTime::from_secs_f64(s).as_nanos()
-}
-
-/// Does an admission fit right now? (The frozen path's gate.)
-fn fits(running: &[LiveApp], nodes: usize, max_concurrent: usize, max_nodes: usize) -> bool {
-    let used: usize = running.iter().map(|r| r.cfg.nodes).sum();
-    running.len() < max_concurrent && used + nodes <= max_nodes
+    ))
 }
 
 #[cfg(test)]

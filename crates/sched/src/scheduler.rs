@@ -40,12 +40,12 @@
 //! with it.
 
 use beegfs_core::{BeeGfs, FaultPlan, TargetState};
-use cluster::TargetId;
+use cluster::{Platform, TargetId};
 use ior::{AppSpec, HedgeConfig, IorConfig, RetryPolicy, Run, RunError, SimArena};
 use iostats::agg::{aggregate_bandwidth, AppInterval};
 use serde::{Deserialize, Serialize};
 use simcore::rng::RngFactory;
-use simcore::time::SimTime;
+use simcore::time::ns;
 use simcore::units::Bandwidth;
 use std::collections::VecDeque;
 
@@ -140,6 +140,36 @@ pub struct SchedOutcome {
 }
 
 impl SchedOutcome {
+    /// A session's outcome from its per-request outcomes (every request
+    /// admitted) and its logs.
+    pub(crate) fn assemble(
+        outcomes: Vec<Option<AppOutcome>>,
+        decisions: Vec<Decision>,
+        restripes: Vec<RestripeRecord>,
+        sim_events: u64,
+    ) -> Self {
+        let apps: Vec<AppOutcome> = outcomes
+            .into_iter()
+            .map(|o| o.expect("every request was admitted exactly once"))
+            .collect();
+        let intervals: Vec<AppInterval> = apps
+            .iter()
+            .map(|a| AppInterval {
+                start_s: a.admit_s,
+                end_s: a.end_s,
+                volume_bytes: a.bytes,
+            })
+            .collect();
+        SchedOutcome {
+            decisions,
+            restripes,
+            aggregate: Bandwidth::from_bytes_per_sec(aggregate_bandwidth(&intervals)),
+            makespan_s: apps.iter().map(|a| a.end_s).fold(0.0, f64::max),
+            sim_events,
+            apps,
+        }
+    }
+
     /// Mean per-application slowdown.
     pub fn mean_slowdown(&self) -> f64 {
         let n = self.apps.len() as f64;
@@ -366,7 +396,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                 // Freed capacity admits from the queue head, in order.
                 while let Some(&head) = queue.front() {
                     if !fits(
-                        &running,
+                        running.iter().map(|r| r.cfg.nodes),
                         reqs[head].config.nodes,
                         self.max_concurrent,
                         max_nodes,
@@ -410,7 +440,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                 }
                 if queue.is_empty()
                     && fits(
-                        &running,
+                        running.iter().map(|r| r.cfg.nodes),
                         reqs[i].config.nodes,
                         self.max_concurrent,
                         max_nodes,
@@ -447,27 +477,12 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
             }
         }
 
-        let apps: Vec<AppOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every request was admitted exactly once"))
-            .collect();
-        let intervals: Vec<AppInterval> = apps
-            .iter()
-            .map(|a| AppInterval {
-                start_s: a.admit_s,
-                end_s: a.end_s,
-                volume_bytes: a.bytes,
-            })
-            .collect();
-        let makespan_s = apps.iter().map(|a| a.end_s).fold(0.0, f64::max);
-        Ok(SchedOutcome {
+        Ok(SchedOutcome::assemble(
+            outcomes,
             decisions,
-            restripes: Vec::new(),
-            aggregate: Bandwidth::from_bytes_per_sec(aggregate_bandwidth(&intervals)),
-            makespan_s,
+            Vec::new(),
             sim_events,
-            apps,
-        })
+        ))
     }
 
     fn record(&mut self, ev: obs::Event) {
@@ -498,9 +513,9 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
             reg.observe("sched.wait_s", now - req.arrival_s);
         }
         let mut place_rng = factory.stream("sched-place", i as u64);
-        let view = cluster_view(self.fs, running, busy_fraction, &self.suspected);
+        let inputs = ViewInputs::new(self.fs, running.iter().map(|r| (&r.targets[..], r.bytes)));
         let mut placement = self.policy.place(
-            &to_view(self.fs, &view),
+            &inputs.view(self.fs.platform(), busy_fraction, &self.suspected),
             req.stripe,
             req.config.total_bytes,
             &mut place_rng,
@@ -654,10 +669,11 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                     if let Some(reg) = self.metrics.as_deref_mut() {
                         reg.inc("sched.evictions");
                     }
-                    let view = cluster_view(self.fs, running, busy_fraction, &self.suspected);
+                    let inputs =
+                        ViewInputs::new(self.fs, running.iter().map(|r| (&r.targets[..], r.bytes)));
                     if placed_on(&placement, target) {
                         placement = self.policy.place(
-                            &to_view(self.fs, &view),
+                            &inputs.view(self.fs.platform(), busy_fraction, &self.suspected),
                             req.stripe,
                             req.config.total_bytes,
                             &mut place_rng,
@@ -667,7 +683,7 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
                         if r.targets.contains(&target) {
                             let stripe = r.targets.len() as u32;
                             r.placement = self.policy.place(
-                                &to_view(self.fs, &view),
+                                &inputs.view(self.fs.platform(), busy_fraction, &self.suspected),
                                 stripe,
                                 r.bytes,
                                 &mut place_rng,
@@ -686,15 +702,15 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
     }
 }
 
-/// Seconds to the nanosecond timestamps of the event vocabulary.
-fn ns(s: f64) -> u64 {
-    SimTime::from_secs_f64(s).as_nanos()
-}
-
-/// Does an admission fit right now?
-fn fits(running: &[Running], nodes: usize, max_concurrent: usize, max_nodes: usize) -> bool {
-    let used: usize = running.iter().map(|r| r.cfg.nodes).sum();
-    running.len() < max_concurrent && used + nodes <= max_nodes
+/// Does an admission of `nodes` fit next to the running applications'
+/// node counts right now?
+pub(crate) fn fits(
+    running_nodes: impl ExactSizeIterator<Item = usize>,
+    nodes: usize,
+    max_concurrent: usize,
+    max_nodes: usize,
+) -> bool {
+    running_nodes.len() < max_concurrent && running_nodes.sum::<usize>() + nodes <= max_nodes
 }
 
 fn spec_for(placement: &Placement, cfg: IorConfig) -> AppSpec {
@@ -711,52 +727,60 @@ fn placed_on(placement: &Placement, target: TargetId) -> bool {
     }
 }
 
-/// Raw per-admission view state (owned, so the borrow of `fs` inside
-/// [`ClusterView`] can be taken separately).
-struct RawView {
+/// The owned inputs of a [`ClusterView`] at one instant: per-target
+/// management-service liveness and per-server outstanding bytes of the
+/// running set. Owned, so a view can borrow them while the policy is
+/// borrowed mutably.
+pub(crate) struct ViewInputs {
     online: Vec<bool>,
     outstanding: Vec<f64>,
-    busy: Vec<f64>,
-    suspected: Vec<bool>,
 }
 
-fn cluster_view(
-    fs: &BeeGfs,
-    running: &[Running],
-    busy_fraction: &[f64],
-    suspected: &[bool],
-) -> RawView {
-    let platform = fs.platform();
-    let online: Vec<bool> = platform
-        .all_targets()
-        .into_iter()
-        .map(|t| fs.mgmt().state(t).selectable())
-        .collect();
-    let mut outstanding = vec![0.0f64; platform.server_count()];
-    for r in running {
-        if r.targets.is_empty() {
-            continue;
+impl ViewInputs {
+    /// Snapshot the deployment's liveness and the running set's load:
+    /// each `(targets, bytes)` entry spreads its bytes evenly over its
+    /// targets' servers, accumulated in iteration order.
+    pub(crate) fn new<'t>(
+        fs: &BeeGfs,
+        running: impl Iterator<Item = (&'t [TargetId], u64)>,
+    ) -> Self {
+        let platform = fs.platform();
+        let online = platform
+            .all_targets()
+            .into_iter()
+            .map(|t| fs.mgmt().state(t).selectable())
+            .collect();
+        let mut outstanding = vec![0.0f64; platform.server_count()];
+        for (targets, bytes) in running {
+            if targets.is_empty() {
+                continue;
+            }
+            let share = bytes as f64 / targets.len() as f64;
+            for &t in targets {
+                outstanding[platform.server_of(t).index()] += share;
+            }
         }
-        let share = r.bytes as f64 / r.targets.len() as f64;
-        for &t in &r.targets {
-            outstanding[platform.server_of(t).index()] += share;
+        ViewInputs {
+            online,
+            outstanding,
         }
     }
-    RawView {
-        online,
-        outstanding,
-        busy: busy_fraction.to_vec(),
-        suspected: suspected.to_vec(),
-    }
-}
 
-fn to_view<'a>(fs: &'a BeeGfs, raw: &'a RawView) -> ClusterView<'a> {
-    ClusterView {
-        platform: fs.platform(),
-        online: &raw.online,
-        outstanding_bytes: &raw.outstanding,
-        busy_fraction: &raw.busy,
-        suspected: &raw.suspected,
+    /// The policy's view: these inputs plus the utilization feed and the
+    /// straggler suspicion.
+    pub(crate) fn view<'a>(
+        &'a self,
+        platform: &'a Platform,
+        busy_fraction: &'a [f64],
+        suspected: &'a [bool],
+    ) -> ClusterView<'a> {
+        ClusterView {
+            platform,
+            online: &self.online,
+            outstanding_bytes: &self.outstanding,
+            busy_fraction,
+            suspected,
+        }
     }
 }
 

@@ -11,6 +11,13 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// Nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// Seconds to whole sim-time nanoseconds, the timestamp unit of the
+/// trace and scheduler event vocabulary.
+#[inline]
+pub fn ns(secs: f64) -> u64 {
+    SimTime::from_secs_f64(secs).as_nanos()
+}
+
 /// An absolute instant on the simulated clock.
 ///
 /// `SimTime::ZERO` is the start of the simulation. Instants are totally

@@ -7,9 +7,10 @@ use beegfs_repro::core::{
     plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, StripeError,
     StripePattern, TargetState,
 };
-use beegfs_repro::ior::{AppSpec, IorConfig, RetryPolicy, Run, RunError};
+use beegfs_repro::ior::{AppSpec, IorConfig, PolicyError, RetryPolicy, Run, RunError};
 use beegfs_repro::sched::{
-    AdmissionMode, AppRequest, ArrivalStream, LeastLoadedServer, SchedError, Scheduler,
+    AdmissionMode, AppRequest, ArrivalStream, LeastLoadedServer, SchedError, SchedOutcome,
+    Scheduler,
 };
 use beegfs_repro::simcore::rng::RngFactory;
 use beegfs_repro::simcore::units::GIB;
@@ -436,37 +437,19 @@ proptest! {
 ///
 /// Per (seed, dead-count) the behaviour is pinned exactly: every
 /// survivable count completes with the dead set avoided, killing the
-/// whole pool is a typed placement error, and an unknown target is a
-/// typed plan error.
+/// whole pool is a typed placement error, and an unknown target or
+/// server is a typed plan error.
 #[test]
 fn simultaneous_same_instant_evictions_survive_or_fail_typed() {
-    let total = presets::plafrim_ethernet().total_targets() as u32;
+    let platform = presets::plafrim_ethernet();
+    let total = platform.total_targets() as u32;
     for seed in 0..20u64 {
         for dead in 2..=total + 1 {
-            let stream = ArrivalStream::from_trace(vec![AppRequest {
-                arrival_s: 0.0,
-                config: IorConfig::paper_default(4).with_total_bytes(4 * GIB),
-                stripe: 4,
-            }])
-            .unwrap();
-            let factory = RngFactory::new(seed);
-            let mut fs = BeeGfs::new(
-                presets::plafrim_ethernet(),
-                DirConfig::plafrim_default(),
-                plafrim_registration_order(),
-            );
             let mut plan = FaultPlan::new();
             for t in 0..dead {
                 plan = plan.target_offline(0.5, TargetId(t)).unwrap();
             }
-            let result = Scheduler::new(&mut fs, Box::new(LeastLoadedServer))
-                .mode(AdmissionMode::Online)
-                .faults(plan)
-                .retry(RetryPolicy {
-                    deadline_s: 5.0,
-                    ..RetryPolicy::default()
-                })
-                .serve(&stream, &factory);
+            let result = serve_one_app(AdmissionMode::Online, seed, plan, impatient_policy());
             if dead > total {
                 // TargetId(total) does not exist on the platform.
                 assert!(
@@ -504,4 +487,113 @@ fn simultaneous_same_instant_evictions_survive_or_fail_typed() {
             }
         }
     }
+    // Server ids are checked like target ids.
+    let servers = platform.server_count() as u32;
+    let plan = FaultPlan::new().link_degraded(0.5, servers, 0.5).unwrap();
+    let result = serve_one_app(AdmissionMode::Online, 0, plan, impatient_policy());
+    assert!(
+        matches!(
+            result,
+            Err(SchedError::Run(RunError::UnknownFaultServer(s))) if s == servers
+        ),
+        "expected unknown-server error, got {result:?}"
+    );
+}
+
+/// A retry deadline short enough that an unrecovered outage is
+/// abandoned while the application is still writing.
+fn impatient_policy() -> RetryPolicy {
+    RetryPolicy {
+        deadline_s: 5.0,
+        ..RetryPolicy::default()
+    }
+}
+
+/// One 4-node, 4 GiB application arriving at t = 0, served under `plan`
+/// and `retry` by the least-loaded-server policy.
+fn serve_one_app(
+    mode: AdmissionMode,
+    seed: u64,
+    plan: FaultPlan,
+    retry: RetryPolicy,
+) -> Result<SchedOutcome, SchedError> {
+    let stream = ArrivalStream::from_trace(vec![AppRequest {
+        arrival_s: 0.0,
+        config: IorConfig::paper_default(4).with_total_bytes(4 * GIB),
+        stripe: 4,
+    }])
+    .unwrap();
+    let mut fs = BeeGfs::new(
+        presets::plafrim_ethernet(),
+        DirConfig::plafrim_default(),
+        plafrim_registration_order(),
+    );
+    Scheduler::new(&mut fs, Box::new(LeastLoadedServer))
+        .mode(mode)
+        .faults(plan)
+        .retry(retry)
+        .serve(&stream, &RngFactory::new(seed))
+}
+
+/// A zero initial backoff never advances the probe ladder. Both
+/// admission modes must reject it up front as a typed policy error; the
+/// online engine once spun forever computing the resume probe of an
+/// outage that recovers after the heartbeat.
+#[test]
+fn invalid_retry_policy_is_a_typed_error_in_both_admission_modes() {
+    let plan = FaultPlan::new()
+        .target_offline(0.5, TargetId(0))
+        .unwrap()
+        .target_recovers(30.0, TargetId(0))
+        .unwrap();
+    let stuck = RetryPolicy {
+        initial_backoff_s: 0.0,
+        ..RetryPolicy::default()
+    };
+    for mode in [AdmissionMode::FrozenOracle, AdmissionMode::Online] {
+        let result = serve_one_app(mode, 0, plan.clone(), stuck);
+        assert!(
+            matches!(
+                result,
+                Err(SchedError::Run(RunError::Policy(PolicyError::InvalidBackoff(b)))) if b == 0.0
+            ),
+            "{mode:?}: expected an invalid-backoff error, got {result:?}"
+        );
+    }
+}
+
+/// One unrecovered outage through both engines: the batch run fails on
+/// the target the online session evicts, and the eviction lands exactly
+/// at the batch run's give-up instant — outage start plus the retry
+/// deadline, as the one fault compiler computes it for both.
+#[test]
+fn batch_give_up_and_online_eviction_agree_on_the_abandon_instant() {
+    let retry = impatient_policy();
+    let plan = FaultPlan::new().target_offline(0.5, TargetId(0)).unwrap();
+    let outage_start_s = match faulted_pinned(&plan, &retry, "abandon", 0) {
+        Err(RunError::TargetUnavailable {
+            target,
+            outage_start_s,
+            ..
+        }) => {
+            assert_eq!(target, TargetId(0));
+            outage_start_s
+        }
+        other => panic!("expected TargetUnavailable, got {other:?}"),
+    };
+    let out = serve_one_app(AdmissionMode::Online, 9, plan, retry).unwrap();
+    let evict = out
+        .restripes
+        .iter()
+        .find(|r| r.kind == "evict")
+        .unwrap_or_else(|| panic!("no eviction: {}", out.restripe_log_json()));
+    assert!(evict.from.contains(&0), "evicted {:?}", evict.from);
+    assert_eq!(
+        evict.at_s.to_bits(),
+        (outage_start_s + retry.deadline_s).to_bits(),
+        "online evicted at {} s, batch gave up at {} s + {} s",
+        evict.at_s,
+        outage_start_s,
+        retry.deadline_s
+    );
 }
