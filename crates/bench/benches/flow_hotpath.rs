@@ -1,128 +1,64 @@
 //! Solver hot-path benchmark: many small flows through the fluid loop,
 //! incremental allocation-free solver vs. the retained reference solver.
 //!
-//! Not a Criterion target: it times a fixed rep workload in both modes,
-//! writes `BENCH_flow_hotpath.json` at the repository root, and enforces
-//! two gates so CI catches hot-path regressions:
+//! It times [`bench::hotpath_rep`] in both modes, writes
+//! `target/bench/BENCH_flow_hotpath.json`, and enforces two gates so CI
+//! catches hot-path regressions:
 //!
 //! * the incremental solver must be at least 2x the reference solver's
 //!   reps/sec on this workload (the speedup the rework claims);
 //! * the incremental reps/sec must not drop below 70% of the committed
 //!   `BENCH_flow_hotpath.json` baseline.
 //!
-//! The workload is solver-bound by design: hundreds of registered flows
-//! arriving in small staggered batches over a few resources, so every
-//! completion re-solves while the *active* set stays small. The
-//! reference solver rescans every registered flow and reallocates its
-//! work vectors per solve; the incremental solver walks the active list
-//! with warm scratch buffers and skips no-op solves outright.
+//! The workload is solver-bound by design: every completion re-solves
+//! while the *active* set stays small. The reference solver rescans
+//! every registered flow and reallocates its work vectors per solve; the
+//! incremental solver walks the active list with warm scratch buffers
+//! and skips no-op solves outright.
 
-use bench::{extract_f64, median};
-use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, SimArena};
-use simcore::SimTime;
-use std::time::Instant;
+use bench::{committed, fail, hotpath_rep, interleaved, write_measurement, HOTPATH_FLOWS};
+use simcore::flow::SimArena;
 
 const REPS: usize = 15;
-const FLOWS_PER_REP: u64 = 2000;
-
-fn build_net() -> FlowNetwork {
-    let mut net = FlowNetwork::new();
-    net.add_resource("link0", CapacityModel::Fixed(4000.0));
-    net.add_resource("link1", CapacityModel::Fixed(5000.0));
-    for i in 0..8 {
-        net.add_resource(
-            format!("ost{i}"),
-            CapacityModel::Saturating {
-                peak: 900.0,
-                q_half: 1.5,
-            },
-        );
-    }
-    net
-}
-
-fn one_rep(reference: bool, arena: &mut SimArena) -> f64 {
-    let net = build_net();
-    let links: Vec<_> = (0..2).map(simcore::flow::ResourceId::from_index).collect();
-    let targets: Vec<_> = (2..10).map(simcore::flow::ResourceId::from_index).collect();
-
-    let mut sim = FluidSim::with_arena(net, arena);
-    sim.set_reference_solver(reference);
-    for i in 0..FLOWS_PER_REP {
-        let path = vec![
-            links[(i % 2) as usize],
-            targets[(i % targets.len() as u64) as usize],
-        ];
-        // Small flows in staggered batches, arriving slower than they
-        // drain: the *registered* flow count grows into the thousands
-        // while the *active* set stays around batch size, which is the
-        // regime the incremental solver targets (the reference rescans
-        // every registered flow on every solve).
-        let start = SimTime::from_secs_f64((i / 8) as f64 * 0.25);
-        sim.start_flow_at(start, path, 10.0 + (i * 13 % 17) as f64, i);
-    }
-    let flap = targets[3];
-    sim.schedule_factor_change(SimTime::from_secs_f64(0.4), flap, 0.2);
-    sim.schedule_factor_change(SimTime::from_secs_f64(1.2), flap, 1.0);
-
-    let t0 = Instant::now();
-    let mut done = 0u64;
-    while sim.next_completion().is_some() {
-        done += 1;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(done, FLOWS_PER_REP, "every flow must complete");
-    sim.recycle_into(arena);
-    elapsed
-}
+const BASELINE: &str = "BENCH_flow_hotpath.json";
 
 fn main() {
     let mut arena = SimArena::new();
+    // Leg 0 is the incremental solver, leg 1 the reference solver.
+    let mut run_leg = |leg: usize, _round: usize| {
+        hotpath_rep(&mut arena, |sim| sim.set_reference_solver(leg == 1), |_| {})
+    };
     // Warm caches, allocator, and the arena before timing anything.
-    one_rep(false, &mut arena);
-    one_rep(true, &mut arena);
+    interleaved(1, 2, &mut run_leg);
+    let medians = interleaved(REPS, 2, run_leg);
 
-    // Interleave the modes so environmental drift hits both equally.
-    let mut incremental = Vec::with_capacity(REPS);
-    let mut reference = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        incremental.push(one_rep(false, &mut arena));
-        reference.push(one_rep(true, &mut arena));
-    }
-
-    let inc_rps = 1.0 / median(incremental);
-    let ref_rps = 1.0 / median(reference);
+    let inc_rps = 1.0 / medians[0];
+    let ref_rps = 1.0 / medians[1];
     let speedup = inc_rps / ref_rps;
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flow_hotpath.json");
-    let baseline_rps = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|s| extract_f64(&s, "incremental_reps_per_sec"));
-
     let json = format!(
-        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {FLOWS_PER_REP},\n  \
+        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {HOTPATH_FLOWS},\n  \
          \"incremental_reps_per_sec\": {inc_rps:.2},\n  \
          \"reference_reps_per_sec\": {ref_rps:.2},\n  \"speedup\": {speedup:.2}\n}}\n"
     );
-    std::fs::write(out, &json).expect("write bench json");
+    let out = write_measurement(BASELINE, &json);
     println!(
         "incremental {inc_rps:.1} reps/s, reference {ref_rps:.1} reps/s ({speedup:.2}x speedup)"
     );
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 
     if speedup < 2.0 {
-        eprintln!("FAIL: incremental solver speedup {speedup:.2}x is below the required 2x");
-        std::process::exit(1);
+        fail(format!(
+            "incremental solver speedup {speedup:.2}x is below the required 2x"
+        ));
     }
-    if let Some(base) = baseline_rps {
-        if inc_rps < 0.7 * base {
-            eprintln!(
-                "FAIL: incremental reps/sec regressed: {inc_rps:.1} < 70% of committed baseline {base:.1}"
-            );
-            std::process::exit(1);
+    match committed(BASELINE, "incremental_reps_per_sec") {
+        Some(base) if inc_rps < 0.7 * base => fail(format!(
+            "incremental reps/sec regressed: {inc_rps:.1} < 70% of committed baseline {base:.1}"
+        )),
+        Some(base) => {
+            println!("baseline check passed ({inc_rps:.1} vs committed {base:.1} reps/s)")
         }
-        println!("baseline check passed ({inc_rps:.1} vs committed {base:.1} reps/s)");
-    } else {
-        println!("no committed baseline found; wrote a fresh one");
+        None => println!("no committed {BASELINE} found; regression gate skipped"),
     }
 }

@@ -1,12 +1,12 @@
 //! Fleet-scale solver benchmark: the sharded connected-component solver
 //! vs. the unsharded full-active solve on a datacenter fleet.
 //!
-//! Not a Criterion target: it drains staggered flow waves over a
-//! 100-server × 10-target [`cluster::FleetSpec`] fleet (non-blocking
-//! switch, so each server group is its own connected component) at
-//! 2 000, 20 000 and 200 000 total flows, in both solver modes, writes
-//! `BENCH_flow_scale.json` at the repository root, and enforces two
-//! gates so CI catches scaling regressions:
+//! It drains staggered flow waves over a 100-server × 10-target
+//! [`cluster::FleetSpec`] fleet (non-blocking switch, so each server
+//! group is its own connected component) at 2 000, 20 000 and 200 000
+//! total flows, in both solver modes, writes
+//! `target/bench/BENCH_flow_scale.json`, and enforces two gates so CI
+//! catches scaling regressions:
 //!
 //! * sharded must be at least 5x the unsharded events/sec at 200 000
 //!   flows (the speedup the sharding claims at datacenter scale);
@@ -24,7 +24,7 @@
 //! active-set solves would dominate the whole bench suite); events/sec
 //! over the drained prefix is the common currency.
 
-use bench::{extract_f64, median};
+use bench::{committed, fail, interleaved, write_measurement};
 use cluster::{Fabric, FabricNoise, FleetSpec, SwitchPolicy, TargetId};
 use simcore::flow::{FluidSim, SimArena};
 use simcore::units::Bandwidth;
@@ -38,6 +38,7 @@ const SCALES: [u64; 3] = [2_000, 20_000, 200_000];
 /// Completion-prefix cap for the unsharded mode (full drain at or below,
 /// truncated above).
 const UNSHARDED_CAP: u64 = 20_000;
+const BASELINE: &str = "BENCH_flow_scale.json";
 
 fn fleet() -> cluster::Platform {
     FleetSpec::new("bench-100x10")
@@ -98,9 +99,21 @@ fn one_rep(n_flows: u64, cap: u64, sharded: bool, arena: &mut SimArena) -> f64 {
 
 fn main() {
     let mut arena = SimArena::new();
+    // Interleave the modes so environmental drift hits both equally:
+    // leg 0 drains all `n` completions sharded, leg 1 the unsharded
+    // prefix.
+    let mut modes = |n: u64, reps: usize| {
+        let cap = n.min(UNSHARDED_CAP);
+        interleaved(reps, 2, |leg, _round| {
+            if leg == 0 {
+                one_rep(n, n, true, &mut arena)
+            } else {
+                one_rep(n, cap, false, &mut arena)
+            }
+        })
+    };
     // Warm caches, allocator, and the arena before timing anything.
-    one_rep(SCALES[0], SCALES[0], true, &mut arena);
-    one_rep(SCALES[0], SCALES[0], false, &mut arena);
+    modes(SCALES[0], 1);
 
     let mut rows = String::new();
     let mut speedup_200k = 0.0;
@@ -108,15 +121,8 @@ fn main() {
     for &n in &SCALES {
         let cap = n.min(UNSHARDED_CAP);
         let reps = if n >= 200_000 { 3 } else { 5 };
-        // Interleave the modes so environmental drift hits both equally.
-        let mut sharded = Vec::with_capacity(reps);
-        let mut unsharded = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            sharded.push(one_rep(n, n, true, &mut arena));
-            unsharded.push(one_rep(n, cap, false, &mut arena));
-        }
-        let s_eps = median(sharded);
-        let u_eps = median(unsharded);
+        let medians = modes(n, reps);
+        let (s_eps, u_eps) = (medians[0], medians[1]);
         let speedup = s_eps / u_eps;
         println!(
             "{n:>7} flows: sharded {s_eps:>10.0} ev/s, unsharded {u_eps:>10.0} ev/s \
@@ -133,35 +139,27 @@ fn main() {
         }
     }
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flow_scale.json");
-    let baseline = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|s| extract_f64(&s, "sharded_200000_events_per_sec"));
-
     let json = format!(
         "{{\n  \"servers\": {SERVERS},\n  \"targets_per_server\": {TARGETS_PER_SERVER},\n\
          {rows}  \"unsharded_prefix_cap\": {UNSHARDED_CAP}\n}}\n"
     );
-    std::fs::write(out, &json).expect("write bench json");
-    println!("wrote {out}");
+    let out = write_measurement(BASELINE, &json);
+    println!("wrote {}", out.display());
 
     if speedup_200k < 5.0 {
-        eprintln!(
-            "FAIL: sharded solver speedup {speedup_200k:.2}x at 200k flows is below the \
+        fail(format!(
+            "sharded solver speedup {speedup_200k:.2}x at 200k flows is below the \
              required 5x"
-        );
-        std::process::exit(1);
+        ));
     }
-    if let Some(base) = baseline {
-        if sharded_200k < 0.7 * base {
-            eprintln!(
-                "FAIL: sharded events/sec regressed: {sharded_200k:.0} < 70% of committed \
-                 baseline {base:.0}"
-            );
-            std::process::exit(1);
+    match committed(BASELINE, "sharded_200000_events_per_sec") {
+        Some(base) if sharded_200k < 0.7 * base => fail(format!(
+            "sharded events/sec regressed: {sharded_200k:.0} < 70% of committed \
+             baseline {base:.0}"
+        )),
+        Some(base) => {
+            println!("baseline check passed ({sharded_200k:.0} vs committed {base:.0} ev/s)")
         }
-        println!("baseline check passed ({sharded_200k:.0} vs committed {base:.0} ev/s)");
-    } else {
-        println!("no committed baseline found; wrote a fresh one");
+        None => println!("no committed {BASELINE} found; regression gate skipped"),
     }
 }

@@ -2,152 +2,90 @@
 //! attached vs. with solver introspection enabled and harvested into a
 //! [`obs::metrics::MetricsRegistry`] every rep.
 //!
-//! Not a Criterion target: it runs a fixed rep workload in both modes,
-//! writes `BENCH_metrics_overhead.json` at the repository root, and
-//! enforces two gates so the "zero cost when disabled" claim stays true
-//! in CI instead of decaying the way the tracing overhead once did:
+//! It times [`bench::hotpath_rep`] in both modes, writes
+//! `target/bench/BENCH_metrics_overhead.json`, and enforces two gates so
+//! the "zero cost when disabled" claim stays true in CI instead of
+//! decaying the way the tracing overhead once did:
 //!
 //! * metrics-off reps/sec must stay at or above 95% of the committed
 //!   `BENCH_flow_hotpath.json` incremental baseline — the workload is
 //!   identical, so a gap here is instrumentation leaking into the
 //!   disabled path (dirty-histogram upkeep, counter indirection);
 //! * metrics-on overhead must stay under the `max_overhead_frac`
-//!   threshold committed in this bench's own output file.
+//!   threshold committed in `BENCH_metrics_overhead.json`.
 
-use bench::{extract_f64, median};
-use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, SimArena};
-use simcore::SimTime;
-use std::time::Instant;
+use bench::{committed, fail, hotpath_rep, interleaved, write_measurement, HOTPATH_FLOWS};
+use obs::metrics::MetricsRegistry;
+use simcore::flow::SimArena;
 
 const REPS: usize = 15;
-const FLOWS_PER_REP: u64 = 2000;
-
-fn build_net() -> FlowNetwork {
-    let mut net = FlowNetwork::new();
-    net.add_resource("link0", CapacityModel::Fixed(4000.0));
-    net.add_resource("link1", CapacityModel::Fixed(5000.0));
-    for i in 0..8 {
-        net.add_resource(
-            format!("ost{i}"),
-            CapacityModel::Saturating {
-                peak: 900.0,
-                q_half: 1.5,
-            },
-        );
-    }
-    net
-}
-
-/// One flow_hotpath rep; when `registry` is set the sim collects its
-/// introspection histograms and harvests everything into the registry
-/// inside the timed region (that harvest is part of what a campaign rep
-/// pays, so it belongs in the measurement).
-fn one_rep(registry: Option<&mut obs::metrics::MetricsRegistry>, arena: &mut SimArena) -> f64 {
-    let net = build_net();
-    let links: Vec<_> = (0..2).map(simcore::flow::ResourceId::from_index).collect();
-    let targets: Vec<_> = (2..10).map(simcore::flow::ResourceId::from_index).collect();
-
-    let mut sim = FluidSim::with_arena(net, arena);
-    if registry.is_some() {
-        sim.enable_metrics();
-    }
-    for i in 0..FLOWS_PER_REP {
-        let path = vec![
-            links[(i % 2) as usize],
-            targets[(i % targets.len() as u64) as usize],
-        ];
-        let start = SimTime::from_secs_f64((i / 8) as f64 * 0.25);
-        sim.start_flow_at(start, path, 10.0 + (i * 13 % 17) as f64, i);
-    }
-    let flap = targets[3];
-    sim.schedule_factor_change(SimTime::from_secs_f64(0.4), flap, 0.2);
-    sim.schedule_factor_change(SimTime::from_secs_f64(1.2), flap, 1.0);
-
-    let t0 = Instant::now();
-    let mut done = 0u64;
-    while sim.next_completion().is_some() {
-        done += 1;
-    }
-    if let Some(reg) = registry {
-        sim.metrics_into(reg);
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(done, FLOWS_PER_REP, "every flow must complete");
-    sim.recycle_into(arena);
-    elapsed
-}
+const BASELINE: &str = "BENCH_metrics_overhead.json";
 
 fn main() {
     let mut arena = SimArena::new();
-    let mut registry = obs::metrics::MetricsRegistry::new();
+    let mut registry = MetricsRegistry::new();
+    // Leg 0 runs with no registry; leg 1 collects the sim's
+    // introspection histograms and harvests them inside the timed region
+    // (that harvest is part of what a campaign rep pays).
+    let mut run_leg = |leg: usize, _round: usize| {
+        let metered = leg == 1;
+        hotpath_rep(
+            &mut arena,
+            |sim| {
+                if metered {
+                    sim.enable_metrics();
+                }
+            },
+            |sim| {
+                if metered {
+                    sim.metrics_into(&mut registry);
+                }
+            },
+        )
+    };
     // Warm caches, allocator, and the arena before timing anything.
-    one_rep(None, &mut arena);
-    one_rep(Some(&mut registry), &mut arena);
-
-    // Interleave the modes so environmental drift hits both equally.
-    let mut off = Vec::with_capacity(REPS);
-    let mut on = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        off.push(one_rep(None, &mut arena));
-        on.push(one_rep(Some(&mut registry), &mut arena));
-    }
+    interleaved(1, 2, &mut run_leg);
+    let medians = interleaved(REPS, 2, run_leg);
     assert!(
         registry.counter("sim.events_processed") > 0
             && registry.histogram("sim.dirty_component_size").is_some(),
         "metered reps recorded nothing"
     );
 
-    let off_rps = 1.0 / median(off);
-    let on_rps = 1.0 / median(on);
+    let off_rps = 1.0 / medians[0];
+    let on_rps = 1.0 / medians[1];
     let overhead = off_rps / on_rps - 1.0;
-
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_metrics_overhead.json"
-    );
-    let max_overhead = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|s| extract_f64(&s, "max_overhead_frac"))
-        .unwrap_or(0.10);
-    let hotpath_baseline = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_flow_hotpath.json"
-    ))
-    .ok()
-    .and_then(|s| extract_f64(&s, "incremental_reps_per_sec"));
+    let max_overhead = committed(BASELINE, "max_overhead_frac").unwrap_or(0.10);
 
     let json = format!(
-        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {FLOWS_PER_REP},\n  \
+        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {HOTPATH_FLOWS},\n  \
          \"metrics_off_reps_per_sec\": {off_rps:.2},\n  \
          \"metrics_on_reps_per_sec\": {on_rps:.2},\n  \
          \"metrics_on_overhead_frac\": {overhead:.4},\n  \
          \"max_overhead_frac\": {max_overhead}\n}}\n"
     );
-    std::fs::write(out, &json).expect("write bench json");
+    let out = write_measurement(BASELINE, &json);
     println!(
         "metrics off {off_rps:.1} reps/s, on {on_rps:.1} reps/s ({:+.1}% with a registry harvested)",
         overhead * 100.0
     );
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 
-    if let Some(base) = hotpath_baseline {
-        if off_rps < 0.95 * base {
-            eprintln!(
-                "FAIL: metrics-off {off_rps:.1} reps/s is below 95% of the committed \
-                 flow_hotpath baseline {base:.1} — the disabled path is no longer free"
-            );
-            std::process::exit(1);
+    match committed("BENCH_flow_hotpath.json", "incremental_reps_per_sec") {
+        Some(base) if off_rps < 0.95 * base => fail(format!(
+            "metrics-off {off_rps:.1} reps/s is below 95% of the committed \
+             flow_hotpath baseline {base:.1} — the disabled path is no longer free"
+        )),
+        Some(base) => {
+            println!("zero-cost check passed ({off_rps:.1} vs committed hotpath {base:.1} reps/s)")
         }
-        println!("zero-cost check passed ({off_rps:.1} vs committed hotpath {base:.1} reps/s)");
-    } else {
-        println!("no committed flow_hotpath baseline; skipping the zero-cost check");
+        None => println!("no committed flow_hotpath baseline; skipping the zero-cost check"),
     }
     if overhead > max_overhead {
-        eprintln!(
-            "FAIL: metrics-on overhead {:.1}% exceeds the committed {:.1}% threshold",
+        fail(format!(
+            "metrics-on overhead {:.1}% exceeds the committed {:.1}% threshold",
             overhead * 100.0,
             max_overhead * 100.0
-        );
-        std::process::exit(1);
+        ));
     }
 }

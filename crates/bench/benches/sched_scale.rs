@@ -2,9 +2,9 @@
 //! continuous online admission engine, against the frozen-oracle
 //! reference at the scale where the oracle stops being usable.
 //!
-//! Not a Criterion target: it times fixed workloads in both admission
-//! modes, writes `BENCH_sched_scale.json` at the repository root, and
-//! enforces three gates so CI catches scaling regressions. Two regimes,
+//! It times fixed workloads in both admission modes, writes
+//! `target/bench/BENCH_sched_scale.json`, and enforces three gates so CI
+//! catches scaling regressions. Two regimes,
 //! because the engines differ in *what* their per-admission cost scales
 //! with:
 //!
@@ -36,50 +36,12 @@
 //! admission *throughput* only. Mode agreement is pinned separately, on
 //! small traces, by `tests/online_oracle.rs`.
 
-use bench::extract_f64;
+use bench::{committed, cpu_seconds, fail, write_measurement};
 use experiments::campaign::SchedPolicyKind;
 use experiments::context::{deploy, Scenario};
 use sched::{AdmissionMode, ArrivalStream, Scheduler};
 use simcore::rng::RngFactory;
 use simcore::units::MIB;
-use std::time::Instant;
-
-/// Process CPU seconds (user + system) via `getrusage`, falling back to
-/// wall time off Linux. The workload is deterministic and
-/// single-threaded, so CPU time per admission is a stable quantity on
-/// shared CI hosts where wall-clock throughput swings by 2-3x with
-/// neighbour load — gating on it measures the engine, not the host.
-fn cpu_seconds(wall_anchor: Instant) -> f64 {
-    #[cfg(target_os = "linux")]
-    {
-        #[repr(C)]
-        struct Timeval {
-            sec: i64,
-            usec: i64,
-        }
-        #[repr(C)]
-        struct Rusage {
-            utime: Timeval,
-            stime: Timeval,
-            // ru_maxrss .. ru_nivcsw: 14 more longs on Linux.
-            rest: [i64; 14],
-        }
-        extern "C" {
-            fn getrusage(who: i32, usage: *mut Rusage) -> i32;
-        }
-        let mut r = Rusage {
-            utime: Timeval { sec: 0, usec: 0 },
-            stime: Timeval { sec: 0, usec: 0 },
-            rest: [0; 14],
-        };
-        // SAFETY: RUSAGE_SELF (0) with a properly sized, writable struct.
-        if unsafe { getrusage(0, &mut r) } == 0 {
-            return (r.utime.sec + r.stime.sec) as f64
-                + (r.utime.usec + r.stime.usec) as f64 * 1e-6;
-        }
-    }
-    wall_anchor.elapsed().as_secs_f64()
-}
 
 /// Stationary sweep: light applications, a couple in flight at a time.
 const RATE_PER_S: f64 = 2.0;
@@ -127,13 +89,12 @@ fn serve_policy(
         &mut factory.stream("arrivals", 0),
     );
     let mut fs = deploy(Scenario::S1Ethernet, 4, beegfs_core::ChooserKind::Random);
-    let t0 = Instant::now();
-    let cpu0 = cpu_seconds(t0);
+    let cpu0 = cpu_seconds();
     let out = Scheduler::new(&mut fs, policy.build())
         .mode(mode)
         .serve(&stream, &factory)
         .expect("bench stream is schedulable");
-    let elapsed = cpu_seconds(t0) - cpu0;
+    let elapsed = cpu_seconds() - cpu0;
     assert_eq!(out.apps.len(), arrivals, "every arrival must complete");
     (
         arrivals as f64 / elapsed,
@@ -209,11 +170,6 @@ fn main() {
     let adaptive_overhead = online_1e4_post / adaptive_1e4;
     let adaptive_work = adaptive_epa / online_epa[1];
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched_scale.json");
-    let baseline = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|s| extract_f64(&s, "online_aps_1e4"));
-
     let json = format!(
         "{{\n  \"rate_per_s\": {RATE_PER_S},\n  \
          \"online_aps_1e3\": {:.0},\n  \"online_aps_1e4\": {:.0},\n  \
@@ -230,7 +186,7 @@ fn main() {
          \"work_ratio_1e6_vs_1e4\": {work_ratio:.3}\n}}\n",
         online_aps[0], online_aps[1], online_aps[2], online_aps[3], online_epa[1], online_epa[3],
     );
-    std::fs::write(out, &json).expect("write bench json");
+    let out = write_measurement("BENCH_sched_scale.json", &json);
     println!("online vs frozen on the contended burst at 1e4: {speedup:.1}x");
     println!(
         "adaptive feedback overhead at 1e4: {adaptive_overhead:.2}x time, \
@@ -238,36 +194,33 @@ fn main() {
     );
     println!("online 1e6/1e4 work per admission ratio: {work_ratio:.3}");
     println!("online 1e6/1e4 throughput ratio: {scaling:.2}");
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 
     if speedup < 10.0 {
-        eprintln!(
-            "FAIL: online engine speedup {speedup:.2}x over the frozen oracle \
+        fail(format!(
+            "online engine speedup {speedup:.2}x over the frozen oracle \
              on the contended 1e4 burst is below the required 10x"
-        );
-        std::process::exit(1);
+        ));
     }
     // Deterministic near-linearity gate: events per admission is exactly
     // reproducible run to run, so any drift here is a real regression.
     if work_ratio > 2.0 {
-        eprintln!(
-            "FAIL: simulation work per admission grew {work_ratio:.2}x from 1e4 \
+        fail(format!(
+            "simulation work per admission grew {work_ratio:.2}x from 1e4 \
              to 1e6 arrivals (amortized-O(1) admission requires <= 2x)"
-        );
-        std::process::exit(1);
+        ));
     }
     // Collapse detector, not a percentage certification: host
     // memory-subsystem contention moves even CPU time 2-3x on minute
     // scales, while a superlinear admission regression at 100x the
     // stream length lands near 0.01.
     if scaling < 0.1 {
-        eprintln!(
-            "FAIL: admission throughput collapsed with stream length: \
+        fail(format!(
+            "admission throughput collapsed with stream length: \
              1e6 throughput is {:.0}% of the adjacent 1e4 re-measure \
              (floor 10%)",
             scaling * 100.0
-        );
-        std::process::exit(1);
+        ));
     }
     // Adaptive sessions must stay within 1.5x of the plain online
     // engine on the same stream: the feedback loop is periodic O(running
@@ -276,28 +229,25 @@ fn main() {
     // ratio cancels host speed; the deterministic event-count ratio
     // backs it up against calendar-storm regressions.
     if adaptive_overhead > 1.5 {
-        eprintln!(
-            "FAIL: AdaptiveStriping session is {adaptive_overhead:.2}x slower than \
+        fail(format!(
+            "AdaptiveStriping session is {adaptive_overhead:.2}x slower than \
              the plain online engine at 1e4 arrivals (bound 1.5x): \
              {adaptive_1e4:.0}/s vs {online_1e4_post:.0}/s"
-        );
-        std::process::exit(1);
+        ));
     }
     if adaptive_work > 2.0 {
-        eprintln!(
-            "FAIL: AdaptiveStriping adds {adaptive_work:.2}x simulation events per \
+        fail(format!(
+            "AdaptiveStriping adds {adaptive_work:.2}x simulation events per \
              admission over the plain online engine (bound 2x: evaluation \
              events must stay proportional to the calendar, not explode it)"
-        );
-        std::process::exit(1);
+        ));
     }
-    if let Some(base) = baseline {
+    if let Some(base) = committed("BENCH_sched_scale.json", "online_aps_1e4") {
         if online_1e4 < 0.25 * base {
-            eprintln!(
-                "FAIL: online admission throughput at 1e4 arrivals regressed: \
+            fail(format!(
+                "online admission throughput at 1e4 arrivals regressed: \
                  {online_1e4:.0}/s vs committed baseline {base:.0}/s (floor 25%)"
-            );
-            std::process::exit(1);
+            ));
         }
     } else {
         println!("note: no committed baseline found; regression gate skipped");

@@ -1,13 +1,13 @@
 //! Scheduler placement throughput: how many placement decisions per
 //! second each policy sustains on the scenario-1 platform.
 //!
-//! Not a Criterion target: it times the pure decision loop (no fluid
-//! simulation — the cluster view is synthesized and perturbed between
-//! calls) over a fixed number of arrivals per round, and writes
-//! `BENCH_sched_throughput.json` at the repository root so CI can keep
-//! an eye on placement staying microseconds-cheap.
+//! It times the pure decision loop (no fluid simulation — the cluster
+//! view is synthesized and perturbed between calls) over a fixed number
+//! of arrivals per round, and writes
+//! `target/bench/BENCH_sched_throughput.json` so CI can keep an eye on
+//! placement staying microseconds-cheap.
 
-use bench::median;
+use bench::{interleaved, write_measurement};
 use cluster::presets;
 use sched::{
     ClusterView, LeastLoadedServer, PlacementPolicy, Random, RoundRobinServer, StragglerAware,
@@ -70,37 +70,25 @@ fn one_round(policy: &mut dyn PlacementPolicy) -> f64 {
 }
 
 fn main() {
-    // Warm-up round per policy before timing anything.
-    for p in policies().iter_mut() {
-        one_round(p.as_mut());
-    }
-    // Interleave rounds across policies so drift hits all of them.
-    let mut series: Vec<Vec<f64>> = policies().iter().map(|_| Vec::new()).collect();
-    for _ in 0..ROUNDS {
-        for (i, p) in policies().iter_mut().enumerate() {
-            series[i].push(one_round(p.as_mut()));
-        }
-    }
     let names: Vec<&'static str> = policies().iter().map(|p| p.name()).collect();
+    // One leg per policy, each round on a fresh policy instance.
+    let mut run_leg = |leg: usize, _round: usize| one_round(policies()[leg].as_mut());
+    // Warm-up round per policy before timing anything.
+    interleaved(1, names.len(), &mut run_leg);
+    // Interleave rounds across policies so drift hits all of them.
+    let medians = interleaved(ROUNDS, names.len(), run_leg);
     let entries: Vec<String> = names
         .iter()
-        .zip(&series)
-        .map(|(name, s)| format!("  \"{name}_decisions_per_sec\": {:.0}", median(s.clone())))
+        .zip(&medians)
+        .map(|(name, m)| format!("  \"{name}_decisions_per_sec\": {m:.0}"))
         .collect();
     let json = format!(
         "{{\n  \"arrivals_per_round\": {ARRIVALS},\n  \"rounds\": {ROUNDS},\n{}\n}}\n",
         entries.join(",\n")
     );
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_sched_throughput.json"
-    );
-    std::fs::write(out, &json).expect("write bench json");
-    for (name, s) in names.iter().zip(&series) {
-        println!(
-            "{name}: {:.0} decisions/sec (median of {ROUNDS})",
-            median(s.clone())
-        );
+    let out = write_measurement("BENCH_sched_throughput.json", &json);
+    for (name, m) in names.iter().zip(&medians) {
+        println!("{name}: {m:.0} decisions/sec (median of {ROUNDS})");
     }
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 }

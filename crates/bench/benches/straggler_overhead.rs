@@ -2,14 +2,13 @@
 //! added for straggler mitigation must be free when disabled and cheap
 //! when enabled.
 //!
-//! Not a Criterion target: it times two legs, writes
-//! `BENCH_straggler_overhead.json` at the repository root, and gates the
-//! detector-off leg so CI catches the straggler machinery taxing the
-//! solver hot path:
+//! It times three legs, writes `target/bench/BENCH_straggler_overhead.json`,
+//! and gates the detector-off leg so CI catches the straggler machinery
+//! taxing the solver hot path:
 //!
-//! * **detector-off** replays the exact `flow_hotpath` incremental
-//!   workload (no fault curves, no hedging compiled in) and must stay
-//!   within noise — at least 70% — of the committed
+//! * **detector-off** replays the `flow_hotpath` incremental workload
+//!   ([`bench::hotpath_rep`]: no fault curves, no hedging compiled in)
+//!   and must stay within noise — at least 70% — of the committed
 //!   `BENCH_flow_hotpath.json` incremental baseline;
 //! * **detector-on** runs a full hedged IOR write (chunked drain,
 //!   online detection, redirects) against a transient straggler, next
@@ -21,65 +20,17 @@
 use beegfs_core::{
     plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, StripePattern,
 };
-use bench::{extract_f64, median};
+use bench::{committed, fail, hotpath_rep, interleaved, write_measurement, HOTPATH_FLOWS};
 use cluster::{presets, TargetId};
 use ior::{HedgeConfig, IorConfig, Run};
-use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, SimArena};
+use simcore::flow::SimArena;
 use simcore::rng::RngFactory;
-use simcore::SimTime;
 use std::time::Instant;
 
 /// Timed repetitions per leg (interleaved; the median is reported).
 const REPS: usize = 15;
-/// Flows per detector-off rep — matches `flow_hotpath` exactly so the
-/// committed baseline is comparable.
-const FLOWS_PER_REP: u64 = 2000;
 /// IOR runs per detector-on rep.
 const RUNS_PER_REP: usize = 8;
-
-/// The `flow_hotpath` workload, incremental solver only: small flows in
-/// staggered batches over two links and eight targets, with one target
-/// flapping mid-stream. No fault plan, no hedging — this is the path
-/// every healthy simulation takes, and it must not have slowed down.
-fn detector_off_rep(arena: &mut SimArena) -> f64 {
-    let mut net = FlowNetwork::new();
-    net.add_resource("link0", CapacityModel::Fixed(4000.0));
-    net.add_resource("link1", CapacityModel::Fixed(5000.0));
-    for i in 0..8 {
-        net.add_resource(
-            format!("ost{i}"),
-            CapacityModel::Saturating {
-                peak: 900.0,
-                q_half: 1.5,
-            },
-        );
-    }
-    let links: Vec<_> = (0..2).map(simcore::flow::ResourceId::from_index).collect();
-    let targets: Vec<_> = (2..10).map(simcore::flow::ResourceId::from_index).collect();
-
-    let mut sim = FluidSim::with_arena(net, arena);
-    for i in 0..FLOWS_PER_REP {
-        let path = vec![
-            links[(i % 2) as usize],
-            targets[(i % targets.len() as u64) as usize],
-        ];
-        let start = SimTime::from_secs_f64((i / 8) as f64 * 0.25);
-        sim.start_flow_at(start, path, 10.0 + (i * 13 % 17) as f64, i);
-    }
-    let flap = targets[3];
-    sim.schedule_factor_change(SimTime::from_secs_f64(0.4), flap, 0.2);
-    sim.schedule_factor_change(SimTime::from_secs_f64(1.2), flap, 1.0);
-
-    let t0 = Instant::now();
-    let mut done = 0u64;
-    while sim.next_completion().is_some() {
-        done += 1;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(done, FLOWS_PER_REP, "every flow must complete");
-    sim.recycle_into(arena);
-    elapsed
-}
 
 fn deploy() -> BeeGfs {
     BeeGfs::new(
@@ -120,58 +71,40 @@ fn detector_on_rep(hedged: bool, factory: &RngFactory) -> f64 {
 fn main() {
     let factory = RngFactory::new(4242);
     let mut arena = SimArena::new();
+    let mut run_leg = |leg: usize, _round: usize| match leg {
+        0 => hotpath_rep(&mut arena, |_| {}, |_| {}),
+        1 => detector_on_rep(false, &factory),
+        _ => detector_on_rep(true, &factory),
+    };
     // Warm caches, allocator, and the arena before timing anything.
-    detector_off_rep(&mut arena);
-    detector_on_rep(false, &factory);
-    detector_on_rep(true, &factory);
+    interleaved(1, 3, &mut run_leg);
+    let medians = interleaved(REPS, 3, run_leg);
 
-    // Interleave the legs so environmental drift hits all of them.
-    let mut off = Vec::with_capacity(REPS);
-    let mut on_plain = Vec::with_capacity(REPS);
-    let mut on_hedged = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        off.push(detector_off_rep(&mut arena));
-        on_plain.push(detector_on_rep(false, &factory));
-        on_hedged.push(detector_on_rep(true, &factory));
-    }
-
-    let off_rps = 1.0 / median(off);
-    let plain_rps = RUNS_PER_REP as f64 / median(on_plain);
-    let hedged_rps = RUNS_PER_REP as f64 / median(on_hedged);
+    let off_rps = 1.0 / medians[0];
+    let plain_rps = RUNS_PER_REP as f64 / medians[1];
+    let hedged_rps = RUNS_PER_REP as f64 / medians[2];
     let overhead = plain_rps / hedged_rps;
 
-    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flow_hotpath.json");
-    let baseline_rps = std::fs::read_to_string(baseline_path)
-        .ok()
-        .and_then(|s| extract_f64(&s, "incremental_reps_per_sec"));
-
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_straggler_overhead.json"
-    );
     let json = format!(
-        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {FLOWS_PER_REP},\n  \
+        "{{\n  \"reps\": {REPS},\n  \"flows_per_rep\": {HOTPATH_FLOWS},\n  \
          \"runs_per_rep\": {RUNS_PER_REP},\n  \
          \"detector_off_reps_per_sec\": {off_rps:.2},\n  \
          \"plain_runs_per_sec\": {plain_rps:.2},\n  \
          \"hedged_runs_per_sec\": {hedged_rps:.2},\n  \
          \"hedging_overhead\": {overhead:.2}\n}}\n"
     );
-    std::fs::write(out, &json).expect("write bench json");
+    let out = write_measurement("BENCH_straggler_overhead.json", &json);
     println!(
         "detector off: {off_rps:.1} reps/s; straggler runs: plain {plain_rps:.1}/s, \
          hedged {hedged_rps:.1}/s ({overhead:.2}x overhead)"
     );
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 
-    match baseline_rps {
-        Some(base) if off_rps < 0.7 * base => {
-            eprintln!(
-                "FAIL: detector-off hot path regressed: {off_rps:.1} reps/s is below 70% \
-                 of the committed flow_hotpath baseline {base:.1}"
-            );
-            std::process::exit(1);
-        }
+    match committed("BENCH_flow_hotpath.json", "incremental_reps_per_sec") {
+        Some(base) if off_rps < 0.7 * base => fail(format!(
+            "detector-off hot path regressed: {off_rps:.1} reps/s is below 70% \
+             of the committed flow_hotpath baseline {base:.1}"
+        )),
         Some(base) => {
             println!(
                 "baseline check passed ({off_rps:.1} vs committed flow_hotpath {base:.1} reps/s)"

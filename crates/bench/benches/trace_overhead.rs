@@ -1,10 +1,10 @@
 //! Tracing overhead check: the same scenario-1 stripe-4 run with no
 //! recorder attached vs. recording into an [`obs::Timeline`].
 //!
-//! Not a Criterion target: it runs a fixed number of seeded runs per
-//! mode and writes `BENCH_trace_overhead.json` at the repository root.
-//! The run fails (exit 1) when the traced overhead exceeds the
-//! `max_overhead_frac` threshold committed in that file, so emission-path
+//! It runs a fixed number of seeded runs per mode and writes
+//! `target/bench/BENCH_trace_overhead.json`. The run fails (exit 1) when
+//! the traced overhead exceeds the `max_overhead_frac` threshold
+//! committed in `BENCH_trace_overhead.json`, so emission-path
 //! regressions fail CI instead of silently accumulating. (The recorded
 //! overhead sat near 3% when tracing landed, then crept to ~23% as later
 //! PRs made the *untraced* solve ~10x faster around a sampler that still
@@ -12,7 +12,7 @@
 //! and the measured overhead is back to a few percent.)
 
 use beegfs_core::FaultPlan;
-use bench::{extract_f64, median};
+use bench::{committed, fail, interleaved, write_measurement};
 use cluster::TargetId;
 use ior::{AppSpec, IorConfig, RetryPolicy, Run};
 use simcore::rng::RngFactory;
@@ -62,51 +62,44 @@ fn main() {
         one_run(seed, None);
         one_run(seed, Some(&mut obs::Timeline::new()));
     }
-    let mut untraced_a = Vec::with_capacity(RUNS);
-    let mut untraced_b = Vec::with_capacity(RUNS);
-    let mut traced = Vec::with_capacity(RUNS);
     // Interleave the modes so drift (thermal, scheduler) hits all of
-    // them. Two untraced series bound the measurement noise: the real
-    // no-recorder overhead (an `Option` check plus a counter increment
-    // per event) cannot be resolved below that spread.
-    for seed in 0..RUNS as u64 {
-        untraced_a.push(one_run(seed, None));
+    // them; round `r` runs seed `r` in every mode. Two untraced series
+    // (legs 0 and 2) bound the measurement noise: the real no-recorder
+    // overhead (an `Option` check plus a counter increment per event)
+    // cannot be resolved below that spread.
+    let medians = interleaved(RUNS, 3, |leg, seed| {
+        let seed = seed as u64;
+        if leg != 1 {
+            return one_run(seed, None);
+        }
         let mut timeline = obs::Timeline::new();
-        traced.push(one_run(seed, Some(&mut timeline)));
+        let secs = one_run(seed, Some(&mut timeline));
         assert!(!timeline.is_empty(), "traced run recorded nothing");
-        untraced_b.push(one_run(seed, None));
-    }
-    let untraced_ms = median(untraced_a) * 1e3;
-    let untraced_b_ms = median(untraced_b) * 1e3;
+        secs
+    });
+    let untraced_ms = medians[0] * 1e3;
+    let untraced_b_ms = medians[2] * 1e3;
     let noise = (untraced_b_ms / untraced_ms - 1.0).abs();
-    let traced_ms = median(traced) * 1e3;
+    let traced_ms = medians[1] * 1e3;
     let overhead = traced_ms / untraced_ms - 1.0;
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_trace_overhead.json"
-    );
-    // Gate against the threshold committed with the previous numbers
-    // (generous vs. the measured few percent: single-digit-millisecond
-    // medians jitter, and the gate is for drift, not noise).
-    let max_overhead = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|s| extract_f64(&s, "max_overhead_frac"))
-        .unwrap_or(0.15);
+    // Gate against the committed threshold (generous vs. the measured
+    // few percent: sub-millisecond medians jitter, and the gate is for
+    // drift, not noise).
+    let max_overhead = committed("BENCH_trace_overhead.json", "max_overhead_frac").unwrap_or(0.15);
     let json = format!(
         "{{\n  \"runs\": {RUNS},\n  \"untraced_ms\": {untraced_ms:.3},\n  \
          \"untraced_ab_spread_frac\": {noise:.4},\n  \
          \"traced_ms\": {traced_ms:.3},\n  \"traced_overhead_frac\": {overhead:.4},\n  \
          \"max_overhead_frac\": {max_overhead}\n}}\n"
     );
-    std::fs::write(out, &json).expect("write bench json");
+    let out = write_measurement("BENCH_trace_overhead.json", &json);
     println!("untraced median {untraced_ms:.2} ms, traced median {traced_ms:.2} ms ({:+.1}% with a recorder attached)", overhead * 100.0);
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
     if overhead > max_overhead {
-        eprintln!(
-            "FAIL: traced overhead {:.1}% exceeds the committed {:.1}% threshold",
+        fail(format!(
+            "traced overhead {:.1}% exceeds the committed {:.1}% threshold",
             overhead * 100.0,
             max_overhead * 100.0
-        );
-        std::process::exit(1);
+        ));
     }
 }

@@ -1,38 +1,198 @@
-//! Shared helpers for the Criterion benchmark targets.
+//! The measurement harness every gated bench target shares.
 //!
-//! Each `benches/figXX_*.rs` target regenerates one paper table/figure at
-//! a reduced repetition count and reports how long the regeneration
-//! takes; the full-fidelity (100-repetition) regeneration lives in the
-//! `experiments` crate's `repro` binary. `benches/engine_micro.rs` covers
-//! the simulation kernel itself (max–min solver, fluid loop, choosers,
-//! statistics).
+//! Each `benches/*.rs` target times a fixed workload, gates it against
+//! numbers committed at the repository root in `BENCH_*.json`, writes
+//! its own result to `target/bench/BENCH_<name>.json`, and exits non-zero
+//! when a gate fails. The protocol lives here once:
+//!
+//! * [`interleaved`] runs every leg of a comparison once per round and
+//!   reports per-leg medians, so host drift hits every leg alike and a
+//!   single slow round cannot move the result;
+//! * [`committed`] reads a baseline or threshold from a committed file;
+//!   the benches never write one;
+//! * [`write_measurement`] writes a result under `target/bench/`;
+//! * [`cpu_seconds`] is process CPU time for benches that must not gate
+//!   on wall time;
+//! * [`hotpath_rep`] is the solver hot-path workload that three gates
+//!   time against one committed number;
+//! * [`fail`] reports a failed gate and exits.
+//!
+//! # Updating a baseline
+//!
+//! A committed baseline changes only when someone updates it on purpose:
+//! run the bench, copy `target/bench/BENCH_<name>.json` over the file at
+//! the repository root, and say in the commit why the new number is the
+//! right floor. A gate's `max_overhead_frac` threshold lives in the same
+//! file; each result repeats the committed value, so the copy keeps it.
 
-use experiments::ExpCtx;
-
-/// Repetitions used inside the figure bench targets (the paper uses 100;
-/// benches use fewer so Criterion's own sampling stays tractable).
-pub const BENCH_REPS: usize = 5;
-
-/// The context every figure bench runs under.
-pub fn bench_ctx() -> ExpCtx {
-    ExpCtx::quick(BENCH_REPS)
-}
+use simcore::flow::{CapacityModel, FlowNetwork, FluidSim, ResourceId, SimArena};
+use simcore::SimTime;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// The median of a non-empty sample (the upper median for even sizes),
 /// the statistic every gated bench reports over its interleaved reps.
-pub fn median(mut xs: Vec<f64>) -> f64 {
+fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
+}
+
+/// Run `reps` rounds of `legs` measurements and return each leg's
+/// median. Round `r` calls `leg(0, r)`, `leg(1, r)`, … `leg(legs - 1, r)`
+/// in that order, so environmental drift hits every leg equally.
+pub fn interleaved(reps: usize, legs: usize, mut leg: impl FnMut(usize, usize) -> f64) -> Vec<f64> {
+    let mut series = vec![Vec::with_capacity(reps); legs];
+    for round in 0..reps {
+        for (i, s) in series.iter_mut().enumerate() {
+            s.push(leg(i, round));
+        }
+    }
+    series.into_iter().map(median).collect()
+}
+
+/// Process CPU seconds (user + system) via `getrusage`, falling back to
+/// wall time since the first call off Linux. For a deterministic
+/// single-threaded workload CPU time is a stable quantity on shared
+/// hosts where wall-clock throughput swings 2-3x with neighbour load.
+pub fn cpu_seconds() -> f64 {
+    #[cfg(target_os = "linux")]
+    {
+        #[repr(C)]
+        struct Timeval {
+            sec: i64,
+            usec: i64,
+        }
+        #[repr(C)]
+        struct Rusage {
+            utime: Timeval,
+            stime: Timeval,
+            // ru_maxrss .. ru_nivcsw: 14 more longs on Linux.
+            rest: [i64; 14],
+        }
+        extern "C" {
+            fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+        }
+        let mut r = Rusage {
+            utime: Timeval { sec: 0, usec: 0 },
+            stime: Timeval { sec: 0, usec: 0 },
+            rest: [0; 14],
+        };
+        // SAFETY: RUSAGE_SELF (0) with a properly sized, writable struct.
+        if unsafe { getrusage(0, &mut r) } == 0 {
+            return (r.utime.sec + r.stime.sec) as f64
+                + (r.utime.usec + r.stime.usec) as f64 * 1e-6;
+        }
+    }
+    static ANCHOR: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+    ANCHOR.get_or_init(Instant::now).elapsed().as_secs_f64()
+}
+
+/// The repository root, where the committed baselines live.
+fn repo_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the bench crate sits two levels below the repository root")
+}
+
+/// Where [`write_measurement`] puts `file`: `target/bench/<file>` under
+/// the repository root.
+fn measurement_path(file: &str) -> PathBuf {
+    repo_root().join("target").join("bench").join(file)
+}
+
+/// `key` from the baseline committed at the repository root as `file`;
+/// `None` when the file or the key is missing.
+pub fn committed(file: &str, key: &str) -> Option<f64> {
+    let json = std::fs::read_to_string(repo_root().join(file)).ok()?;
+    extract_f64(&json, key)
+}
+
+/// Write a bench result to `target/bench/<file>` and return the path.
+/// Never touches the committed baseline of the same name.
+pub fn write_measurement(file: &str, json: &str) -> PathBuf {
+    let path = measurement_path(file);
+    std::fs::create_dir_all(path.parent().expect("measurement path has a parent"))
+        .expect("create target/bench");
+    std::fs::write(&path, json).expect("write bench json");
+    path
+}
+
+/// Report a failed gate on stderr and exit with status 1.
+pub fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(1)
 }
 
 /// Pull `"key": <float>` out of a committed `BENCH_*.json` baseline
 /// without a JSON dependency; `None` when the key is absent or its value
 /// is not a number.
-pub fn extract_f64(json: &str, key: &str) -> Option<f64> {
+fn extract_f64(json: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
     let rest = &json[json.find(&pat)? + pat.len()..];
     let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
+}
+
+/// Flows per [`hotpath_rep`].
+pub const HOTPATH_FLOWS: u64 = 2000;
+
+/// One rep of the solver hot-path workload; returns elapsed wall seconds.
+///
+/// Small flows in staggered batches over two links and eight saturating
+/// targets, with one target flapping mid-stream. Flows arrive slower
+/// than they drain, so the *registered* flow count grows into the
+/// thousands while the *active* set stays around batch size: every
+/// completion re-solves a small active set.
+///
+/// `configure` runs on the fresh sim before any flow starts. The timed
+/// region is the completion drain followed by `harvest` (a metrics
+/// harvest is part of what a campaign rep pays); recycling the sim into
+/// `arena` is not timed.
+pub fn hotpath_rep(
+    arena: &mut SimArena,
+    configure: impl FnOnce(&mut FluidSim<'_>),
+    harvest: impl FnOnce(&FluidSim<'_>),
+) -> f64 {
+    let mut net = FlowNetwork::new();
+    net.add_resource("link0", CapacityModel::Fixed(4000.0));
+    net.add_resource("link1", CapacityModel::Fixed(5000.0));
+    for i in 0..8 {
+        net.add_resource(
+            format!("ost{i}"),
+            CapacityModel::Saturating {
+                peak: 900.0,
+                q_half: 1.5,
+            },
+        );
+    }
+    let links: Vec<_> = (0..2).map(ResourceId::from_index).collect();
+    let targets: Vec<_> = (2..10).map(ResourceId::from_index).collect();
+
+    let mut sim = FluidSim::with_arena(net, arena);
+    configure(&mut sim);
+    for i in 0..HOTPATH_FLOWS {
+        let path = vec![
+            links[(i % 2) as usize],
+            targets[(i % targets.len() as u64) as usize],
+        ];
+        let start = SimTime::from_secs_f64((i / 8) as f64 * 0.25);
+        sim.start_flow_at(start, path, 10.0 + (i * 13 % 17) as f64, i);
+    }
+    let flap = targets[3];
+    sim.schedule_factor_change(SimTime::from_secs_f64(0.4), flap, 0.2);
+    sim.schedule_factor_change(SimTime::from_secs_f64(1.2), flap, 1.0);
+
+    let t0 = Instant::now();
+    let mut done = 0u64;
+    while sim.next_completion().is_some() {
+        done += 1;
+    }
+    harvest(&sim);
+    let elapsed = t0.elapsed().as_secs_f64();
+    assert_eq!(done, HOTPATH_FLOWS, "every flow must complete");
+    sim.recycle_into(arena);
+    elapsed
 }
 
 #[cfg(test)]
@@ -66,9 +226,57 @@ mod tests {
     }
 
     #[test]
-    fn bench_context_is_reduced_fidelity() {
-        let ctx = bench_ctx();
-        assert_eq!(ctx.reps, BENCH_REPS);
-        assert_eq!(ctx.seed, ExpCtx::default().seed);
+    fn interleaved_runs_legs_round_robin_and_reports_upper_medians() {
+        let mut calls = Vec::new();
+        let medians = interleaved(4, 3, |leg, round| {
+            calls.push((leg, round));
+            // Leg 0 sees 3, 2, 1, 0; leg 1 sees 10, 11, 12, 13; leg 2 is flat.
+            match leg {
+                0 => (3 - round) as f64,
+                1 => 10.0 + round as f64,
+                _ => 7.0,
+            }
+        });
+        let expected: Vec<_> = (0..4).flat_map(|r| (0..3).map(move |l| (l, r))).collect();
+        assert_eq!(calls, expected);
+        // Four samples per leg: the upper median is the third smallest.
+        assert_eq!(medians, vec![2.0, 12.0, 7.0]);
+    }
+
+    #[test]
+    fn measurements_never_resolve_to_a_committed_baseline() {
+        let root = repo_root();
+        for file in ["BENCH_flow_hotpath.json", "BENCH_sched_scale.json"] {
+            let path = measurement_path(file);
+            assert_eq!(path, root.join("target/bench").join(file));
+            assert_ne!(path, root.join(file));
+        }
+
+        let file = "BENCH_harness_selftest.json";
+        let written = write_measurement(file, "{\n  \"x\": 1.25\n}\n");
+        assert_eq!(written, measurement_path(file));
+        let back = std::fs::read_to_string(&written).unwrap();
+        std::fs::remove_file(&written).unwrap();
+        assert_eq!(extract_f64(&back, "x"), Some(1.25));
+        assert!(!root.join(file).exists());
+    }
+
+    #[test]
+    fn committed_reads_repo_root_baselines() {
+        let v = committed("BENCH_flow_hotpath.json", "incremental_reps_per_sec");
+        assert!(v.is_some_and(|x| x > 0.0), "{v:?}");
+        assert_eq!(committed("BENCH_flow_hotpath.json", "no_such_key"), None);
+        assert_eq!(committed("BENCH_no_such_file.json", "reps"), None);
+    }
+
+    #[test]
+    fn cpu_seconds_is_monotone() {
+        let a = cpu_seconds();
+        let mut x = 0u64;
+        for i in 0..1_000_000u64 {
+            x = x.wrapping_add(std::hint::black_box(i));
+        }
+        std::hint::black_box(x);
+        assert!(cpu_seconds() >= a);
     }
 }
