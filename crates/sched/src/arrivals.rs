@@ -29,9 +29,23 @@ pub struct AppRequest {
 }
 
 /// A time-ordered stream of application requests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArrivalStream {
     requests: Vec<AppRequest>,
+}
+
+// Deserialization routes through [`ArrivalStream::from_trace`] so a
+// stream loaded from JSON passes the same arrival checks as one built in
+// code: raw data cannot smuggle in an empty, unordered or non-finite
+// trace.
+impl Deserialize for ArrivalStream {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let requests = v
+            .get("requests")
+            .ok_or_else(|| serde::DeError::custom("missing field `requests`"))?;
+        let requests = Vec::<AppRequest>::from_value(requests)?;
+        ArrivalStream::from_trace(requests).map_err(serde::DeError::custom)
+    }
 }
 
 impl ArrivalStream {
@@ -176,5 +190,30 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: ArrivalStream = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn deserialized_traces_are_validated_like_built_ones() {
+        // A stream loaded from JSON must pass the same arrival checks as
+        // one built with `from_trace`: out-of-order, non-finite and empty
+        // traces are rejected, not served.
+        let req = |arrival_s: f64| AppRequest {
+            arrival_s,
+            config: cfg(),
+            stripe: 4,
+        };
+        let json = |reqs: Vec<AppRequest>| {
+            format!(
+                r#"{{"requests":{}}}"#,
+                serde_json::to_string(&reqs).unwrap()
+            )
+        };
+        let load = |text: &str| serde_json::from_str::<ArrivalStream>(text);
+        assert!(load(&json(vec![req(50.0), req(1.0)])).is_err());
+        assert!(load(&json(vec![req(-1.0)])).is_err());
+        assert!(load(&json(Vec::new())).is_err());
+        assert!(load("{}").is_err());
+        let ok = load(&json(vec![req(1.0), req(50.0)])).unwrap();
+        assert_eq!(ok.requests()[1].arrival_s, 50.0);
     }
 }

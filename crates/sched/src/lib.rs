@@ -19,11 +19,11 @@
 //!   restriping from observed per-application throughput).
 //! * [`Scheduler`] — admission, queueing, placement, completion and
 //!   release, fault-driven re-placement, and per-application slowdown
-//!   accounting. Two admission modes ([`AdmissionMode`]): the
-//!   frozen-schedule reference oracle, which prices each admission with
-//!   a fresh measurement simulation (see [`scheduler`]), and the
-//!   continuous [`online`] engine, which drives one long-running fluid
-//!   simulation for the whole session at O(1)-amortized cost per
+//!   accounting, on one core shared by both [`AdmissionMode`]s (request
+//!   checks, admission gate, decision ledger; see [`scheduler`]): the
+//!   frozen-schedule reference oracle prices each admission with a fresh
+//!   measurement simulation, the continuous [`online`] engine drives one
+//!   fluid simulation for the whole session at O(1)-amortized cost per
 //!   arrival — the mode that makes million-arrival streams tractable.
 //!
 //! Everything is deterministic: one [`simcore::rng::RngFactory`] seed

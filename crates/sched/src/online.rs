@@ -1,78 +1,67 @@
 //! The continuous online engine: one long-running fluid simulation for
 //! the whole scheduling session.
 //!
-//! The frozen-schedule path in [`scheduler`](crate::scheduler) prices
-//! every admission with a fresh measurement simulation over all
-//! still-running applications — O(n²) total simulation work, which caps
-//! sessions at ~10⁴ arrivals. This module replaces that with a live
-//! engine: admissions inject flows into a single [`FluidSim`] the
-//! scheduler drives continuously ([`FluidSim::run_until`]), completions
-//! are consumed from the simulation's event heap as sim time advances
-//! ([`FluidSim::pop_ready`]), and per-application slowdown falls out of
-//! the live completion instants. Each admission costs O(its own flows),
-//! so a session is O(total flows) — amortized O(1) per arrival, which
-//! is what opens the million-arrival regime.
+//! The frozen oracle in [`scheduler`](crate::scheduler) re-simulates
+//! every running application for each admission — O(n²) total work,
+//! which caps sessions at ~10⁴ arrivals. Here admissions inject flows
+//! into a single [`FluidSim`] the engine drives continuously
+//! ([`FluidSim::run_until`]), completions drain from its event heap as
+//! sim time advances ([`FluidSim::pop_ready`]), and slowdown falls out
+//! of the live completion instants. Each admission costs O(its own
+//! flows) — amortized O(1) per arrival, which opens the million-arrival
+//! regime.
 //!
-//! The write path is the batch runner's: fabrics, stripe split and the
-//! one fault-timeline compiler come from [`ior::fabric`], and the
-//! compiler's dead targets become the session's eviction calendar.
+//! The request checks, the admission gate and the decision ledger are
+//! the scheduler's shared core; this module adds only the live pricing
+//! and its event calendar. The write path is the batch runner's:
+//! fabrics, stripe split and the one fault-timeline compiler come from
+//! [`ior::fabric`], and the compiler's dead targets become the session's
+//! eviction calendar.
 //!
 //! # Semantics relative to the frozen oracle
 //!
-//! The frozen path is retained verbatim as the *reference oracle*
-//! (mirroring the solver's `reference_recompute_rates` pattern), and a
-//! differential test pins the two modes against each other on small
+//! A differential test pins the two modes against each other on small
 //! traces. The online engine simulates the exact fluid dynamics — a
 //! running application *is* slowed by later arrivals, which the frozen
-//! approximation deliberately cannot see — so the two agree tightly on
-//! light or serial workloads and diverge by exactly that retroactive
-//! interference as load grows. Three further, deliberate modeling
-//! differences:
+//! approximation cannot see — so the two agree on light or serial
+//! workloads and diverge by that retroactive interference as load
+//! grows. Three further, deliberate differences:
 //!
 //! * **Noise** is sampled once per session — one hardware reality for
-//!   the whole stream — where the frozen path re-samples it for every
-//!   measurement and solo run.
-//! * **Ideal baselines** come from a persistent idle *shadow* fabric
-//!   carrying the same session noise: an admission's flows are replayed
-//!   there alone, so the slowdown denominator isolates contention on
-//!   the same machine instead of re-sampling a different one per solo
-//!   run. The admission's sampled startup overhead is shared by both
-//!   numerator and denominator.
-//! * **Fault re-placement** cannot rewind history: when the retry
-//!   deadline expires on a dead target ([`DeadTarget::abandon_s`]), the
-//!   affected applications' live flows are cancelled
-//!   ([`FluidSim::cancel_flow`]), their pooled remaining bytes are
-//!   re-striped evenly over a fresh placement, and the decision log
-//!   gains `replaced` entries — work already done stays done, where the
-//!   frozen oracle re-simulates the incumbents' whole runs.
+//!   the whole stream — not once per measurement and solo run.
+//! * **Ideal baselines** replay each admission's flows alone on a
+//!   persistent idle *shadow* fabric with the same noise, so the
+//!   slowdown denominator isolates contention on the same machine. The
+//!   sampled startup overhead counts in numerator and denominator.
+//! * **Fault re-placement** cannot rewind history: at a dead target's
+//!   retry deadline ([`DeadTarget::abandon_s`]) the affected
+//!   applications' live flows are cancelled ([`FluidSim::cancel_flow`])
+//!   and their pooled remaining bytes re-striped evenly over a fresh
+//!   placement, logged as `replaced` decisions — work already done stays
+//!   done, where the frozen oracle re-simulates whole runs.
 //!
 //! Hedged writes remain frozen-only ([`SchedError::OnlineUnsupported`]):
 //! chunked issue-and-redirect belongs to the per-run engine.
 
-use beegfs_core::{restripe_split, BeeGfs, FaultPlan, FileHandle, TargetState};
+use beegfs_core::{restripe_split, FileHandle, TargetState};
 use cluster::{FabricNoise, FabricPaths, Platform, TargetId};
 use ior::fabric::{check_fault_inputs, process_writes, DeadTarget, WriteFabric};
-use ior::{IorConfig, RetryPolicy, RunError};
+use ior::{IorConfig, RunError};
 use serde::{Deserialize, Serialize};
 use simcore::dist::LogNormal;
 use simcore::flow::{FlowId, FluidSim};
 use simcore::rng::{RngFactory, StreamRng};
 use simcore::time::{ns, SimTime};
-use simcore::units::Bandwidth;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-use storage::AccessMode;
+use std::collections::{BTreeSet, BinaryHeap};
 
-use crate::arrivals::AppRequest;
 use crate::error::SchedError;
-use crate::policy::{AppObservation, Placement, PlacementPolicy, RestripeDecision};
-use crate::scheduler::{
-    fits, AppOutcome, Decision, RestripeRecord, SchedOutcome, Scheduler, ViewInputs,
-};
+use crate::policy::{AppObservation, Placement, RestripeDecision};
+use crate::scheduler::{Engine, Gate, Ledger, SchedOutcome, Scheduler, ViewInputs};
 
 /// Period of the adaptive feedback loop: how often a feedback-wanting
 /// policy sees each running application's observed throughput. Scheduled
-/// only when [`PlacementPolicy::wants_feedback`] is true, so
+/// only when [`crate::PlacementPolicy::wants_feedback`] is true, so
 /// feedback-free sessions run the exact pre-adaptive event sequence.
 pub const EVAL_PERIOD_S: f64 = 0.25;
 const EVAL_PERIOD_NS: u64 = 250_000_000;
@@ -109,8 +98,6 @@ struct LiveFlow {
 /// An application currently on the live system.
 struct LiveApp {
     app: usize,
-    cfg: IorConfig,
-    arrival_s: f64,
     start_s: f64,
     overhead_s: f64,
     ideal_s: f64,
@@ -118,9 +105,9 @@ struct LiveApp {
     /// ideal without startup overhead) — the feedback loop's
     /// ideal-throughput denominator.
     ideal_io_s: f64,
-    /// The open file (metadata identity for mid-flight restripes).
+    /// The open file: its current stripe set, and the metadata identity
+    /// for mid-flight restripes.
     file: FileHandle,
-    targets: Vec<TargetId>,
     nodes: Vec<usize>,
     flows: Vec<LiveFlow>,
     /// Latest completion instant seen so far (absolute seconds).
@@ -189,24 +176,18 @@ struct LiveSim {
 }
 
 impl LiveSim {
-    /// Build the session's fabrics: the full compute partition, one
-    /// sampled hardware noise shared by live and shadow, the
-    /// deployment's pre-session target states compounded into both.
-    /// The fault plan is compiled into the live fabric only — ideals stay
-    /// fault-free, as the frozen path's solo runs do — and its dead
-    /// targets are the eviction calendar.
-    fn build(
-        fs: &BeeGfs,
-        ppn: u32,
-        mode: AccessMode,
-        noise: &FabricNoise,
-        plan: &FaultPlan,
-        retry: &RetryPolicy,
-    ) -> (Self, Vec<DeadTarget>) {
+    /// Build the session's fabrics for `cfg`'s ppn and access mode: the
+    /// full compute partition, one sampled hardware noise shared by live
+    /// and shadow, the deployment's pre-session target states compounded
+    /// into both. The session's fault plan is compiled into the live
+    /// fabric only — ideals stay fault-free, as the frozen path's solo
+    /// runs do — and its dead targets are the eviction calendar.
+    fn build(sched: &Scheduler, cfg: &IorConfig, noise: &FabricNoise) -> (Self, Vec<DeadTarget>) {
+        let (fs, ppn, mode) = (&*sched.fs, cfg.ppn, cfg.mode);
         let platform = fs.platform();
         let max_nodes = platform.compute.max_nodes;
         let mut live = WriteFabric::build(fs, max_nodes, ppn, noise, mode, None);
-        let dead = live.compile_faults(fs, plan, retry, None, None);
+        let dead = live.compile_faults(fs, &sched.faults, &sched.retry, None, None);
         let (sim, paths) = live.into_parts();
         let (shadow, shadow_paths) =
             WriteFabric::build(fs, max_nodes, ppn, noise, mode, None).into_parts();
@@ -304,25 +285,18 @@ impl LiveSim {
 }
 
 /// One session of the continuous engine. Owns everything
-/// [`serve_online`] threads through the main loop.
+/// [`serve_online`] threads through the main loop but the admission
+/// gate.
 struct Session<'fs, 'r, 'a> {
-    fs: &'fs mut BeeGfs,
+    sched: Scheduler<'fs, 'r>,
+    ledger: Ledger<'a>,
     platform: Platform,
-    policy: Box<dyn PlacementPolicy>,
-    max_concurrent: usize,
-    max_nodes: usize,
-    recorder: Option<&'r mut dyn obs::Recorder>,
-    metrics: Option<&'r mut obs::metrics::MetricsRegistry>,
+    /// Always all-false: the online engine never hedges.
     suspected: Vec<bool>,
     live: LiveSim,
     overhead_dist: LogNormal,
-    reqs: &'a [AppRequest],
     factory: &'a RngFactory,
     running: Vec<LiveApp>,
-    queue: VecDeque<usize>,
-    outcomes: Vec<Option<AppOutcome>>,
-    decisions: Vec<Decision>,
-    restripes: Vec<RestripeRecord>,
     /// Future end-of-application instants `(nanoseconds, app)` — the
     /// instant capacity frees (I/O end plus startup overhead).
     releases: BinaryHeap<Reverse<(u64, usize)>>,
@@ -334,19 +308,19 @@ struct Session<'fs, 'r, 'a> {
 }
 
 impl Session<'_, '_, '_> {
-    fn record(&mut self, ev: obs::Event) {
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.record(ev);
-        }
-    }
-
     /// Liveness and outstanding bytes of the running set, in running
     /// order.
     fn view_inputs(&self) -> ViewInputs {
         ViewInputs::new(
-            self.fs,
-            self.running.iter().map(|r| (&r.targets[..], r.bytes)),
+            self.sched.fs,
+            self.running.iter().map(|r| (&r.file.targets[..], r.bytes)),
         )
+    }
+
+    /// Where application `app` sits in the running set.
+    fn pos(&self, app: usize) -> usize {
+        let pos = self.running.iter().position(|a| a.app == app);
+        pos.expect("the application is running")
     }
 
     /// The still-active flows of running app `pos` and their pooled
@@ -391,41 +365,14 @@ impl Session<'_, '_, '_> {
     }
 
     /// Move running app `pos` onto `file` at `at_s`, a mid-flight stripe
-    /// change of `kind`: restart its feedback window, and log a replacing
-    /// decision and a restripe record. Returns the stripe sets before and
-    /// after, as flat ids.
-    fn switch_file(
-        &mut self,
-        pos: usize,
-        file: FileHandle,
-        at_s: f64,
-        kind: &str,
-    ) -> (Vec<u32>, Vec<u32>) {
+    /// change of `kind`: restart its feedback window and commit the
+    /// change to the ledger.
+    fn switch_file(&mut self, pos: usize, file: FileHandle, at_s: f64, kind: &str) {
         let a = &mut self.running[pos];
-        let from: Vec<u32> = a.targets.iter().map(|t| t.0).collect();
-        let to: Vec<u32> = file.targets.iter().map(|t| t.0).collect();
-        a.targets = file.targets.clone();
-        a.file = file;
+        let from = std::mem::replace(&mut a.file, file).targets;
         a.restart_window(at_s);
-        self.decisions.push(Decision {
-            app: a.app as u32,
-            arrival_s: a.arrival_s,
-            admit_s: at_s,
-            policy: self.policy.name().to_string(),
-            targets: to.clone(),
-            replaced: true,
-        });
-        self.restripes.push(RestripeRecord {
-            app: a.app as u32,
-            at_s,
-            kind: kind.to_string(),
-            from: from.clone(),
-            to: to.clone(),
-        });
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.inc(&format!("sched.decisions.{}", self.policy.name()));
-        }
-        (from, to)
+        self.ledger
+            .restripe(a.app, at_s, kind, &from, &a.file.targets);
     }
 
     /// Ask the policy for a placement against the live cluster view:
@@ -440,7 +387,7 @@ impl Session<'_, '_, '_> {
         self.live.refresh_busy(&self.platform);
         let inputs = self.view_inputs();
         let view = inputs.view(&self.platform, &self.live.busy_fraction, &self.suspected);
-        Ok(self.policy.place(&view, stripe, bytes, rng)?)
+        Ok(self.sched.policy.place(&view, stripe, bytes, rng)?)
     }
 
     /// Create the placement's file: deferred placements go through the
@@ -454,12 +401,13 @@ impl Session<'_, '_, '_> {
         rng: &mut StreamRng,
     ) -> Result<(FileHandle, f64), SchedError> {
         if !self.first_create {
-            self.fs.simulate_tenant_churn(rng);
+            self.sched.fs.simulate_tenant_churn(rng);
         }
         self.first_create = false;
         let (file, latency) = match placement {
-            Placement::Deferred => self.fs.create_file(rng).map_err(RunError::from)?,
+            Placement::Deferred => self.sched.fs.create_file(rng).map_err(RunError::from)?,
             Placement::Pinned(targets) => self
+                .sched
                 .fs
                 .create_file_on(targets.clone())
                 .map_err(RunError::from)?,
@@ -467,87 +415,12 @@ impl Session<'_, '_, '_> {
         Ok((file, latency.as_secs_f64()))
     }
 
-    /// Admit request `i` at instant `now` (the live clock): place,
-    /// create the file, claim nodes, inject flows live and into the
-    /// shadow baseline, commit the decision.
-    fn admit(&mut self, i: usize, now: f64) -> Result<(), SchedError> {
-        let req = self.reqs[i];
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.inc("sched.admissions");
-            reg.observe("sched.wait_s", now - req.arrival_s);
-        }
-        // Placement reuses the frozen path's stream name so policies
-        // draw identically in both modes; the admission's own draws
-        // (churn, chooser, overhead) live on an online-only stream.
-        let mut place_rng = self.factory.stream("sched-place", i as u64);
-        let mut admit_rng = self.factory.stream("online-admit", i as u64);
-        let placement = self.place(req.stripe, req.config.total_bytes, &mut place_rng)?;
-        let (file, create_s) = self.create(&placement, &mut admit_rng)?;
-        let overhead_s = create_s
-            + self.platform.run_overhead_mean_s * self.overhead_dist.sample(&mut admit_rng);
-
-        let nodes = self.live.claim_nodes(req.config.nodes);
-        let (flows, ideal_io_s) = self
-            .live
-            .inject(i, &req.config, &file, &nodes, &self.platform);
-        self.live_flows += flows.len() as u64;
-        let targets = file.targets.clone();
-
-        self.record(obs::Event::SchedPlaced {
-            at: ns(now),
-            app: i as u32,
-            policy: self.policy.name().to_string(),
-            targets: targets.iter().map(|t| t.0).collect(),
-        });
-        self.decisions.push(Decision {
-            app: i as u32,
-            arrival_s: req.arrival_s,
-            admit_s: now,
-            policy: self.policy.name().to_string(),
-            targets: targets.iter().map(|t| t.0).collect(),
-            replaced: false,
-        });
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.inc(&format!("sched.decisions.{}", self.policy.name()));
-            reg.gauge_max("sched.online.live_flows", self.live_flows as f64);
-            reg.gauge_max("sched.online.live_apps", (self.running.len() + 1) as f64);
-        }
-        self.running.push(LiveApp {
-            app: i,
-            cfg: req.config,
-            arrival_s: req.arrival_s,
-            start_s: now,
-            overhead_s,
-            ideal_s: ideal_io_s + overhead_s,
-            ideal_io_s,
-            file,
-            targets,
-            nodes,
-            flows,
-            io_end_s: now,
-            bytes: req.config.total_bytes,
-            rate_obs: obs::RateIntegral::new(),
-            samples: 0,
-            last_change_s: now,
-            anchor_bytes: 0.0,
-            anchor_s: now,
-        });
-        if self.policy.wants_feedback() && self.next_eval_ns.is_none() {
-            self.next_eval_ns = Some(ns(now) + EVAL_PERIOD_NS);
-        }
-        Ok(())
-    }
-
     /// Account one completion from the live event heap. When it is the
     /// application's last flow, commit its outcome and schedule the
     /// capacity release at I/O end plus overhead.
     fn on_completion(&mut self, c: simcore::flow::Completion) {
         self.live_flows -= 1;
-        let pos = self
-            .running
-            .iter()
-            .position(|a| a.app == c.tag as usize)
-            .expect("completion of an unknown application");
+        let pos = self.pos(c.tag as usize);
         let a = &mut self.running[pos];
         a.flows.retain(|f| f.id != c.flow);
         a.io_end_s = a.io_end_s.max(c.time.as_secs_f64());
@@ -555,61 +428,25 @@ impl Session<'_, '_, '_> {
             return;
         }
         let end_s = a.io_end_s + a.overhead_s;
-        let duration_s = end_s - a.start_s;
-        self.outcomes[a.app] = Some(AppOutcome {
-            app: a.app,
-            arrival_s: a.arrival_s,
-            admit_s: a.start_s,
-            end_s,
-            wait_s: a.start_s - a.arrival_s,
-            duration_s,
-            ideal_s: a.ideal_s,
-            slowdown: (end_s - a.arrival_s) / a.ideal_s,
-            bytes: a.bytes,
-            targets: a.targets.clone(),
-            bandwidth: Bandwidth::from_bytes_per_sec(a.bytes as f64 / duration_s),
-        });
+        self.ledger.complete(
+            a.app,
+            a.start_s..end_s,
+            end_s - a.start_s,
+            a.ideal_s,
+            a.bytes,
+            a.file.targets.clone(),
+        );
         let app = a.app;
-        self.policy.app_done(app);
+        self.sched.policy.app_done(app);
         self.releases.push(Reverse((ns(end_s), app)));
     }
 
-    /// Release a finished application's capacity and admit from the
-    /// queue head while the freed capacity lasts.
-    fn on_release(&mut self, app_idx: usize, now: f64) -> Result<(), SchedError> {
-        let pos = self
-            .running
-            .iter()
-            .position(|a| a.app == app_idx)
-            .expect("released application is running");
-        let done = self.running.swap_remove(pos);
-        for node in done.nodes {
-            self.live.free_nodes.insert(node);
-        }
-        self.record(obs::Event::SchedReleased {
-            at: ns(now),
-            app: done.app as u32,
-        });
-        while let Some(&head) = self.queue.front() {
-            if !fits(
-                self.running.iter().map(|r| r.cfg.nodes),
-                self.reqs[head].config.nodes,
-                self.max_concurrent,
-                self.max_nodes,
-            ) {
-                break;
-            }
-            self.queue.pop_front();
-            self.record(obs::Event::SchedAdmitted {
-                at: ns(now),
-                app: head as u32,
-            });
-            self.admit(head, now)?;
-        }
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.observe("sched.queue_depth", self.queue.len() as f64);
-        }
-        Ok(())
+    /// Take a finished application off the system and free its nodes.
+    fn retire(&mut self, app: usize) {
+        let pos = self.pos(app);
+        self.live
+            .free_nodes
+            .extend(self.running.swap_remove(pos).nodes);
     }
 
     /// Give up on a dead target: mark it offline in the deployment and
@@ -617,10 +454,11 @@ impl Session<'_, '_, '_> {
     /// flows are cancelled, their pooled remaining bytes re-striped
     /// evenly over a fresh placement — completed flows stay completed.
     fn on_eviction(&mut self, at_s: f64, target: TargetId, seq: u64) -> Result<(), SchedError> {
-        self.fs
+        self.sched
+            .fs
             .set_target_state(target, TargetState::Offline)
             .expect("the fault plan's targets were validated");
-        if let Some(reg) = self.metrics.as_deref_mut() {
+        if let Some(reg) = self.ledger.metrics() {
             reg.inc("sched.evictions");
         }
         // An earlier eviction at this exact instant re-placed its
@@ -648,7 +486,7 @@ impl Session<'_, '_, '_> {
             self.cancel_flows(pos, in_flight);
             let (app, stripe, bytes) = {
                 let a = &self.running[pos];
-                (a.app, a.targets.len() as u32, a.bytes)
+                (a.app, a.file.targets.len() as u32, a.bytes)
             };
             let mut rng = self
                 .factory
@@ -658,14 +496,14 @@ impl Session<'_, '_, '_> {
             let weight = self
                 .platform
                 .compute
-                .flow_depth_weight(self.reqs[app].config.ppn, file.pattern.stripe_count);
-            let (_, to) = self.switch_file(pos, file, at_s, "evict");
+                .flow_depth_weight(self.ledger.reqs[app].config.ppn, file.pattern.stripe_count);
+            self.switch_file(pos, file, at_s, "evict");
             // Even re-striping of the pooled remainder: one flow per
             // (node, new target) pair, an approximation of the client
             // re-issuing its abandoned writes under the new pattern.
             let (nodes, targets) = (
                 self.running[pos].nodes.clone(),
-                self.running[pos].targets.clone(),
+                self.running[pos].file.targets.clone(),
             );
             let share = remaining / (nodes.len() * targets.len()) as f64;
             for &node in &nodes {
@@ -673,13 +511,7 @@ impl Session<'_, '_, '_> {
                     self.start_flow(pos, node, t, share, weight);
                 }
             }
-            self.record(obs::Event::SchedPlaced {
-                at: ns(at_s),
-                app: app as u32,
-                policy: self.policy.name().to_string(),
-                targets: to,
-            });
-            if let Some(reg) = self.metrics.as_deref_mut() {
+            if let Some(reg) = self.ledger.metrics() {
                 reg.inc("sched.replacements");
             }
         }
@@ -703,7 +535,7 @@ impl Session<'_, '_, '_> {
             let bps: f64 = flow_ids.iter().map(|&f| self.live.sim.flow_rate(f)).sum();
             let capacity: f64 = {
                 let distinct: BTreeSet<TargetId> =
-                    self.running[pos].targets.iter().copied().collect();
+                    self.running[pos].file.targets.iter().copied().collect();
                 distinct
                     .iter()
                     .map(|&t| {
@@ -741,7 +573,7 @@ impl Session<'_, '_, '_> {
             let view = inputs.view(&self.platform, &self.live.busy_fraction, &self.suspected);
             let snapshot = AppObservation {
                 app: a.app,
-                targets: &a.targets,
+                targets: &a.file.targets,
                 observed_bps: observed,
                 ideal_bps: a.bytes as f64 / a.ideal_io_s,
                 allocated_capacity_bps: capacity,
@@ -749,12 +581,12 @@ impl Session<'_, '_, '_> {
                 since_change_s: since,
                 remaining_fraction: (remaining / a.bytes as f64).clamp(0.0, 1.0),
             };
-            if let Some(d) = self.policy.restripe(&view, &snapshot) {
+            if let Some(d) = self.sched.policy.restripe(&view, &snapshot) {
                 // Drop no-op decisions (same distinct target set): a
                 // same-set restripe must be bit-identical to no restripe
                 // at all.
                 let new_set: BTreeSet<TargetId> = d.targets.iter().copied().collect();
-                let cur_set: BTreeSet<TargetId> = a.targets.iter().copied().collect();
+                let cur_set: BTreeSet<TargetId> = a.file.targets.iter().copied().collect();
                 if new_set != cur_set {
                     actions.push((a.app, d));
                 }
@@ -777,12 +609,7 @@ impl Session<'_, '_, '_> {
         d: RestripeDecision,
         at_s: f64,
     ) -> Result<(), SchedError> {
-        let pos = self
-            .running
-            .iter()
-            .position(|a| a.app == app)
-            .expect("restriped application is running");
-        let now_ns = ns(at_s);
+        let pos = self.pos(app);
         // Pooled not-yet-drained bytes, read *before* touching any flow:
         // a rejected restripe must leave the application exactly as it
         // was.
@@ -798,12 +625,13 @@ impl Session<'_, '_, '_> {
         let issued = (bytes as f64 - remaining).clamp(0.0, bytes as f64) as u64;
         let (file, latency_s) =
             match self
+                .sched
                 .fs
                 .restripe_file(&old_file, d.targets.clone(), bytes, issued)
             {
                 Ok((f, l)) => (f, l.as_secs_f64()),
                 Err(_) => {
-                    if let Some(reg) = self.metrics.as_deref_mut() {
+                    if let Some(reg) = self.ledger.metrics() {
                         reg.inc("sched.restripes.rejected");
                     }
                     return Ok(());
@@ -829,8 +657,7 @@ impl Session<'_, '_, '_> {
             .compute
             .flow_depth_weight(1, file.pattern.stripe_count);
         self.cancel_flows(pos, in_flight);
-        let kind = d.kind.label();
-        let (from, to) = self.switch_file(pos, file, at_s, kind);
+        self.switch_file(pos, file, at_s, d.kind.label());
         // The metadata rewrite costs wall time, like the create it
         // mirrors; the solo ideal is untouched (same rule as evictions).
         self.running[pos].overhead_s += latency_s;
@@ -844,16 +671,59 @@ impl Session<'_, '_, '_> {
                 self.start_flow(pos, node, t, per_node, weight);
             }
         }
-        self.record(obs::Event::SchedRestriped {
-            at: now_ns,
-            app: app as u32,
-            kind: kind.to_string(),
-            from,
-            to,
+        Ok(())
+    }
+}
+
+impl<'a> Engine<'a> for Session<'_, '_, 'a> {
+    fn ledger(&mut self) -> &mut Ledger<'a> {
+        &mut self.ledger
+    }
+
+    /// Admit request `i` at instant `now` (the live clock): place,
+    /// create the file, claim nodes, inject flows live and into the
+    /// shadow baseline, commit the decision.
+    fn admit(&mut self, i: usize, now: f64) -> Result<(), SchedError> {
+        let req = self.ledger.reqs[i];
+        // Placement reuses the frozen path's stream name so policies
+        // draw identically in both modes; the admission's own draws
+        // (churn, chooser, overhead) live on an online-only stream.
+        let mut place_rng = self.factory.stream("sched-place", i as u64);
+        let mut admit_rng = self.factory.stream("online-admit", i as u64);
+        let placement = self.place(req.stripe, req.config.total_bytes, &mut place_rng)?;
+        let (file, create_s) = self.create(&placement, &mut admit_rng)?;
+        let overhead_s = create_s
+            + self.platform.run_overhead_mean_s * self.overhead_dist.sample(&mut admit_rng);
+
+        let nodes = self.live.claim_nodes(req.config.nodes);
+        let (flows, ideal_io_s) = self
+            .live
+            .inject(i, &req.config, &file, &nodes, &self.platform);
+        self.live_flows += flows.len() as u64;
+        self.ledger.decide(i, now, &file.targets, false);
+        if let Some(reg) = self.ledger.metrics() {
+            reg.gauge_max("sched.online.live_flows", self.live_flows as f64);
+            reg.gauge_max("sched.online.live_apps", (self.running.len() + 1) as f64);
+        }
+        self.running.push(LiveApp {
+            app: i,
+            start_s: now,
+            overhead_s,
+            ideal_s: ideal_io_s + overhead_s,
+            ideal_io_s,
+            file,
+            nodes,
+            flows,
+            io_end_s: now,
+            bytes: req.config.total_bytes,
+            rate_obs: obs::RateIntegral::new(),
+            samples: 0,
+            last_change_s: now,
+            anchor_bytes: 0.0,
+            anchor_s: now,
         });
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.inc("sched.restripes");
-            reg.inc(&format!("sched.restripes.{kind}"));
+        if self.sched.policy.wants_feedback() && self.next_eval_ns.is_none() {
+            self.next_eval_ns = Some(ns(now) + EVAL_PERIOD_NS);
         }
         Ok(())
     }
@@ -861,68 +731,39 @@ impl Session<'_, '_, '_> {
 
 /// Serve an arrival stream through the continuous engine. Called by
 /// [`Scheduler::serve`] in [`AdmissionMode::Online`] after the shared
-/// validation (non-empty, shared-file layout, uniform ppn and mode).
-pub(crate) fn serve_online(
+/// request checks.
+pub(crate) fn serve_online<'a>(
     sched: Scheduler<'_, '_>,
-    reqs: &[AppRequest],
-    factory: &RngFactory,
+    mut gate: Gate,
+    ledger: Ledger<'a>,
+    factory: &'a RngFactory,
 ) -> Result<SchedOutcome, SchedError> {
-    let Scheduler {
-        fs,
-        policy,
-        faults,
-        retry,
-        hedge,
-        max_concurrent,
-        recorder,
-        metrics,
-        suspected,
-        ..
-    } = sched;
-    if hedge.is_some() {
+    let reqs = ledger.reqs;
+    if sched.hedge.is_some() {
         return Err(SchedError::OnlineUnsupported {
             feature: "hedged writes",
         });
     }
-    let platform = fs.platform().clone();
-    let max_nodes = platform.compute.max_nodes;
-    check_fault_inputs(&platform, &faults, &retry).map_err(SchedError::Run)?;
+    let platform = sched.fs.platform().clone();
+    check_fault_inputs(&platform, &sched.faults, &sched.retry).map_err(SchedError::Run)?;
 
     // One session-wide hardware reality: the selection-state shuffle,
     // one noise sample, the startup-overhead distribution.
     let mut session_rng = factory.stream("online-session", 0);
-    fs.randomize_selection_state(&mut session_rng);
+    sched.fs.randomize_selection_state(&mut session_rng);
     let noise = FabricNoise::sample(&platform, &mut session_rng);
     let overhead_dist = LogNormal::unit_mean(platform.run_overhead_sigma);
 
-    let (live, evictions) = LiveSim::build(
-        fs,
-        reqs[0].config.ppn,
-        reqs[0].config.mode,
-        &noise,
-        &faults,
-        &retry,
-    );
-
-    let n = reqs.len();
+    let (live, evictions) = LiveSim::build(&sched, &reqs[0].config, &noise);
     let mut s = Session {
-        fs,
+        suspected: vec![false; platform.total_targets()],
+        sched,
+        ledger,
         platform,
-        policy,
-        max_concurrent,
-        max_nodes,
-        recorder,
-        metrics,
-        suspected,
         live,
         overhead_dist,
-        reqs,
         factory,
         running: Vec::new(),
-        queue: VecDeque::new(),
-        outcomes: (0..n).map(|_| None).collect(),
-        decisions: Vec::new(),
-        restripes: Vec::new(),
         releases: BinaryHeap::new(),
         next_eval_ns: None,
         live_flows: 0,
@@ -968,7 +809,6 @@ pub(crate) fn serve_online(
                 assert!(fired, "online engine stalled with live flows left");
                 continue;
             }
-            debug_assert!(s.queue.is_empty(), "queued requests can never start");
             break;
         };
 
@@ -986,50 +826,14 @@ pub(crate) fn serve_online(
                 s.on_eviction(d.abandon_s, d.target, evict_i as u64)?;
             }
             External::Release => {
-                let Reverse((_, app_idx)) = s.releases.pop().expect("peeked above");
-                s.on_release(app_idx, SimTime::from_nanos(t_ns).as_secs_f64())?;
+                let Reverse((_, app)) = s.releases.pop().expect("peeked above");
+                s.retire(app);
+                gate.release(app, SimTime::from_nanos(t_ns).as_secs_f64(), &mut s)?;
             }
             External::Arrive => {
                 let i = next_arrival;
                 next_arrival += 1;
-                let now = reqs[i].arrival_s;
-                s.record(obs::Event::SchedArrival {
-                    at: t_ns,
-                    app: i as u32,
-                });
-                if reqs[i].config.nodes > max_nodes {
-                    return Err(SchedError::Unschedulable {
-                        app: i,
-                        nodes: reqs[i].config.nodes,
-                        available: max_nodes,
-                    });
-                }
-                if s.queue.is_empty()
-                    && fits(
-                        s.running.iter().map(|r| r.cfg.nodes),
-                        reqs[i].config.nodes,
-                        s.max_concurrent,
-                        max_nodes,
-                    )
-                {
-                    s.record(obs::Event::SchedAdmitted {
-                        at: t_ns,
-                        app: i as u32,
-                    });
-                    s.admit(i, now)?;
-                } else {
-                    s.record(obs::Event::SchedQueued {
-                        at: t_ns,
-                        app: i as u32,
-                    });
-                    if let Some(reg) = s.metrics.as_deref_mut() {
-                        reg.inc("sched.queued");
-                    }
-                    s.queue.push_back(i);
-                }
-                if let Some(reg) = s.metrics.as_deref_mut() {
-                    reg.observe("sched.queue_depth", s.queue.len() as f64);
-                }
+                gate.arrive(i, reqs[i].arrival_s, &mut s)?;
             }
             External::Eval => {
                 s.on_eval(SimTime::from_nanos(t_ns).as_secs_f64())?;
@@ -1043,24 +847,22 @@ pub(crate) fn serve_online(
     }
 
     let sim_events = s.live.sim.events_processed() + s.live.shadow.events_processed();
-    if let Some(reg) = s.metrics.as_deref_mut() {
+    if let Some(reg) = s.ledger.metrics() {
         reg.add("sched.online.sim_events", sim_events);
     }
-    Ok(SchedOutcome::assemble(
-        s.outcomes,
-        s.decisions,
-        s.restripes,
-        sim_events,
-    ))
+    Ok(s.ledger.finish(sim_events))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::ArrivalStream;
+    use crate::arrivals::{AppRequest, ArrivalStream};
     use crate::policy::{LeastLoadedServer, Random, UtilizationFeedback};
-    use beegfs_core::{plafrim_registration_order, ChooserKind, DirConfig, StripePattern};
+    use beegfs_core::{
+        plafrim_registration_order, BeeGfs, ChooserKind, DirConfig, FaultPlan, StripePattern,
+    };
     use cluster::presets;
+    use ior::RetryPolicy;
     use simcore::units::GIB;
 
     fn deploy(chooser: ChooserKind) -> BeeGfs {

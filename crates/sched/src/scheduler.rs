@@ -1,16 +1,22 @@
-//! The online scheduler: admission, placement, lifecycle.
+//! The scheduler: the admission core both modes share, and the
+//! frozen-schedule reference oracle.
 //!
 //! The scheduler serves an [`ArrivalStream`] against one BeeGFS
-//! deployment. Each request is either admitted immediately or queued
-//! (FIFO) until compute nodes and a concurrency slot free up; on
-//! admission the [`PlacementPolicy`] picks targets and the application
-//! starts at the admission instant.
+//! deployment in either [`AdmissionMode`]; both run on one admission
+//! core, defined here. [`Scheduler::serve`] checks every request once up
+//! front. The admission gate (`Gate`) admits each request on arrival or
+//! queues it (FIFO) until compute nodes and a concurrency slot free up;
+//! on admission the [`PlacementPolicy`] picks targets and the
+//! application starts at once. The decision ledger (`Ledger`) records
+//! the lifecycle trace, the metrics, the decision and restripe logs and
+//! the outcomes. The engines differ only in how they price an admission
+//! and in their event calendars; the continuous one is [`crate::online`].
 //!
 //! # The frozen-schedule approximation
 //!
 //! Applications overlap in time, so an admission's response time
-//! depends on the contention it meets. The scheduler resolves this with
-//! one *measurement run* per admission: the new application plus a
+//! depends on the contention it meets. The frozen oracle prices each
+//! admission with one *measurement run*: the new application plus a
 //! snapshot of every still-running application, each pinned to its
 //! placement and started at its original (absolute) start time, drain
 //! together through the fluid simulation. Only the *new* application's
@@ -44,12 +50,13 @@ use cluster::{Platform, TargetId};
 use ior::{AppSpec, HedgeConfig, IorConfig, RetryPolicy, Run, RunError, SimArena};
 use iostats::agg::{aggregate_bandwidth, AppInterval};
 use serde::{Deserialize, Serialize};
-use simcore::rng::RngFactory;
+use simcore::rng::{RngFactory, StreamRng};
 use simcore::time::ns;
 use simcore::units::Bandwidth;
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use crate::arrivals::ArrivalStream;
+use crate::arrivals::{AppRequest, ArrivalStream};
 use crate::error::SchedError;
 use crate::online::AdmissionMode;
 use crate::policy::{ClusterView, Placement, PlacementPolicy};
@@ -140,36 +147,6 @@ pub struct SchedOutcome {
 }
 
 impl SchedOutcome {
-    /// A session's outcome from its per-request outcomes (every request
-    /// admitted) and its logs.
-    pub(crate) fn assemble(
-        outcomes: Vec<Option<AppOutcome>>,
-        decisions: Vec<Decision>,
-        restripes: Vec<RestripeRecord>,
-        sim_events: u64,
-    ) -> Self {
-        let apps: Vec<AppOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every request was admitted exactly once"))
-            .collect();
-        let intervals: Vec<AppInterval> = apps
-            .iter()
-            .map(|a| AppInterval {
-                start_s: a.admit_s,
-                end_s: a.end_s,
-                volume_bytes: a.bytes,
-            })
-            .collect();
-        SchedOutcome {
-            decisions,
-            restripes,
-            aggregate: Bandwidth::from_bytes_per_sec(aggregate_bandwidth(&intervals)),
-            makespan_s: apps.iter().map(|a| a.end_s).fold(0.0, f64::max),
-            sim_events,
-            apps,
-        }
-    }
-
     /// Mean per-application slowdown.
     pub fn mean_slowdown(&self) -> f64 {
         let n = self.apps.len() as f64;
@@ -196,17 +173,6 @@ impl SchedOutcome {
     pub fn restripe_log_json(&self) -> String {
         serde_json::to_string(&self.restripes).expect("restripe log serializes")
     }
-}
-
-/// An application currently on the system.
-struct Running {
-    app: usize,
-    cfg: IorConfig,
-    start_s: f64,
-    end_s: f64,
-    placement: Placement,
-    targets: Vec<TargetId>,
-    bytes: u64,
 }
 
 /// Builder for one scheduling session over a deployment.
@@ -245,12 +211,6 @@ pub struct Scheduler<'fs, 'r> {
     pub(crate) max_concurrent: usize,
     pub(crate) recorder: Option<&'r mut dyn obs::Recorder>,
     pub(crate) metrics: Option<&'r mut obs::metrics::MetricsRegistry>,
-    /// Recycled simulation buffers shared by every measurement run of
-    /// the session (one admission can trigger several).
-    pub(crate) arena: SimArena,
-    /// Per-target straggler suspicion accumulated from the hedge
-    /// reports of committed measurement runs; sticky for the session.
-    pub(crate) suspected: Vec<bool>,
     /// How admissions are priced; the frozen oracle unless switched.
     pub(crate) mode: AdmissionMode,
 }
@@ -258,7 +218,6 @@ pub struct Scheduler<'fs, 'r> {
 impl<'fs, 'r> Scheduler<'fs, 'r> {
     /// A scheduler over a deployment, using `policy` for placement.
     pub fn new(fs: &'fs mut BeeGfs, policy: Box<dyn PlacementPolicy>) -> Self {
-        let targets = fs.platform().total_targets();
         Scheduler {
             fs,
             policy,
@@ -268,8 +227,6 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
             max_concurrent: usize::MAX,
             recorder: None,
             metrics: None,
-            arena: SimArena::new(),
-            suspected: vec![false; targets],
             mode: AdmissionMode::default(),
         }
     }
@@ -348,382 +305,511 @@ impl<'fs, 'r> Scheduler<'fs, 'r> {
         factory: &RngFactory,
     ) -> Result<SchedOutcome, SchedError> {
         let reqs = stream.requests();
-        if reqs.is_empty() {
-            return Err(SchedError::EmptyStream);
-        }
-        for (app, r) in reqs.iter().enumerate() {
-            if r.config.layout != ior::FileLayout::SharedFile {
-                return Err(SchedError::UnsupportedLayout { app });
-            }
-            if r.config.ppn != reqs[0].config.ppn || r.config.mode != reqs[0].config.mode {
-                return Err(SchedError::MixedWorkload { app });
-            }
-        }
+        let platform = self.fs.platform();
+        let (targets, max_nodes) = (platform.total_targets(), platform.compute.max_nodes);
+        check_requests(reqs, max_nodes)?;
+        let mut gate = Gate {
+            max_concurrent: self.max_concurrent,
+            max_nodes,
+            ..Gate::default()
+        };
+        let ledger = Ledger {
+            recorder: self.recorder.take().map(|r| r as _),
+            metrics: self.metrics.take(),
+            reqs,
+            policy: self.policy.name(),
+            outcomes: vec![None; reqs.len()],
+            ..Ledger::default()
+        };
         if self.mode == AdmissionMode::Online {
-            return crate::online::serve_online(self, reqs, factory);
+            return crate::online::serve_online(self, gate, ledger, factory);
         }
-        let max_nodes = self.fs.platform().compute.max_nodes;
-
-        let mut running: Vec<Running> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut outcomes: Vec<Option<AppOutcome>> = (0..reqs.len()).map(|_| None).collect();
-        let mut decisions: Vec<Decision> = Vec::new();
-        let mut busy_fraction = vec![0.0f64; self.fs.platform().total_targets()];
-        let mut sim_events = 0u64;
+        let mut frozen = Frozen {
+            sched: self,
+            ledger,
+            factory,
+            running: Vec::new(),
+            busy_fraction: vec![0.0; targets],
+            suspected: vec![false; targets],
+            arena: SimArena::new(),
+            sim_events: 0,
+        };
         let mut next_arrival = 0usize;
-
-        while next_arrival < reqs.len() || !running.is_empty() {
-            let arrival = (next_arrival < reqs.len()).then(|| reqs[next_arrival].arrival_s);
-            let completion = running.iter().map(|r| r.end_s).min_by(f64::total_cmp);
-            // Completions tie-break before arrivals: capacity frees up
-            // before the simultaneous newcomer asks for it.
-            let take_completion = match (completion, arrival) {
-                (Some(c), Some(a)) => c <= a,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_completion {
-                let now = completion.expect("take_completion implies a running app");
-                let pos = running
-                    .iter()
-                    .position(|r| r.end_s == now)
-                    .expect("minimum exists");
-                let done = running.swap_remove(pos);
-                self.record(obs::Event::SchedReleased {
-                    at: ns(done.end_s),
-                    app: done.app as u32,
-                });
-                // Freed capacity admits from the queue head, in order.
-                while let Some(&head) = queue.front() {
-                    if !fits(
-                        running.iter().map(|r| r.cfg.nodes),
-                        reqs[head].config.nodes,
-                        self.max_concurrent,
-                        max_nodes,
-                    ) {
-                        break;
-                    }
-                    queue.pop_front();
-                    self.record(obs::Event::SchedAdmitted {
-                        at: ns(now),
-                        app: head as u32,
-                    });
-                    self.admit(
-                        head,
-                        now,
-                        reqs,
-                        &mut running,
-                        &mut decisions,
-                        &mut busy_fraction,
-                        &mut outcomes,
-                        &mut sim_events,
-                        factory,
-                    )?;
-                }
-                if let Some(reg) = self.metrics.as_deref_mut() {
-                    reg.observe("sched.queue_depth", queue.len() as f64);
-                }
-            } else {
-                let i = next_arrival;
-                next_arrival += 1;
-                let now = reqs[i].arrival_s;
-                self.record(obs::Event::SchedArrival {
-                    at: ns(now),
-                    app: i as u32,
-                });
-                if reqs[i].config.nodes > max_nodes {
-                    return Err(SchedError::Unschedulable {
-                        app: i,
-                        nodes: reqs[i].config.nodes,
-                        available: max_nodes,
-                    });
-                }
-                if queue.is_empty()
-                    && fits(
-                        running.iter().map(|r| r.cfg.nodes),
-                        reqs[i].config.nodes,
-                        self.max_concurrent,
-                        max_nodes,
-                    )
+        while next_arrival < reqs.len() || !frozen.running.is_empty() {
+            let soonest = frozen
+                .running
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.end_s.total_cmp(&b.end_s))
+                .map(|(pos, r)| (pos, r.end_s));
+            match soonest {
+                // Completions tie-break before arrivals: capacity frees
+                // up before the simultaneous newcomer asks for it.
+                Some((pos, end_s))
+                    if reqs.get(next_arrival).is_none_or(|r| end_s <= r.arrival_s) =>
                 {
-                    self.record(obs::Event::SchedAdmitted {
-                        at: ns(now),
-                        app: i as u32,
-                    });
-                    self.admit(
-                        i,
-                        now,
-                        reqs,
-                        &mut running,
-                        &mut decisions,
-                        &mut busy_fraction,
-                        &mut outcomes,
-                        &mut sim_events,
-                        factory,
-                    )?;
-                } else {
-                    self.record(obs::Event::SchedQueued {
-                        at: ns(now),
-                        app: i as u32,
-                    });
-                    if let Some(reg) = self.metrics.as_deref_mut() {
-                        reg.inc("sched.queued");
-                    }
-                    queue.push_back(i);
+                    let done = frozen.running.swap_remove(pos);
+                    frozen.ledger.complete(
+                        done.app,
+                        done.start_s..end_s,
+                        done.duration_s,
+                        done.ideal_s,
+                        done.bytes,
+                        done.targets,
+                    );
+                    gate.release(done.app, end_s, &mut frozen)?;
                 }
-                if let Some(reg) = self.metrics.as_deref_mut() {
-                    reg.observe("sched.queue_depth", queue.len() as f64);
+                _ => {
+                    let i = next_arrival;
+                    next_arrival += 1;
+                    gate.arrive(i, reqs[i].arrival_s, &mut frozen)?;
                 }
             }
         }
+        Ok(frozen.ledger.finish(frozen.sim_events))
+    }
+}
 
-        Ok(SchedOutcome::assemble(
-            outcomes,
-            decisions,
-            Vec::new(),
-            sim_events,
-        ))
+/// The request checks both modes run before either engine starts: a
+/// non-empty stream of shared-file requests with request 0's ppn and
+/// access mode, each a valid [`IorConfig`] that fits the partition.
+fn check_requests(reqs: &[AppRequest], max_nodes: usize) -> Result<(), SchedError> {
+    let first = reqs.first().ok_or(SchedError::EmptyStream)?;
+    for (app, r) in reqs.iter().enumerate() {
+        if r.config.layout != ior::FileLayout::SharedFile {
+            return Err(SchedError::UnsupportedLayout { app });
+        }
+        if r.config.ppn != first.config.ppn || r.config.mode != first.config.mode {
+            return Err(SchedError::MixedWorkload { app });
+        }
+        r.config.validate().map_err(RunError::from)?;
+        if r.config.nodes > max_nodes {
+            return Err(SchedError::Unschedulable {
+                app,
+                nodes: r.config.nodes,
+                available: max_nodes,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// An admission engine as the [`Gate`] drives it: the ledger it commits
+/// to, and how it places, starts and prices one admitted request.
+pub(crate) trait Engine<'a> {
+    fn ledger(&mut self) -> &mut Ledger<'a>;
+
+    /// Admit request `app` at instant `at_s`.
+    fn admit(&mut self, app: usize, at_s: f64) -> Result<(), SchedError>;
+}
+
+/// The admission gate both engines share: the FIFO queue, the
+/// concurrency cap and the node capacity. Every admission and release
+/// passes through it, at instants taken from the caller's calendar.
+#[derive(Default)]
+pub(crate) struct Gate {
+    queue: VecDeque<usize>,
+    max_concurrent: usize,
+    max_nodes: usize,
+    running: usize,
+    nodes_in_use: usize,
+}
+
+impl Gate {
+    /// Request `app` arrives at `at_s`: it joins the FIFO queue — traced
+    /// as queued unless it can start at once — and the queue drains.
+    pub(crate) fn arrive<'a>(
+        &mut self,
+        app: usize,
+        at_s: f64,
+        e: &mut impl Engine<'a>,
+    ) -> Result<(), SchedError> {
+        let (at, id) = (ns(at_s), app as u32);
+        let ledger = e.ledger();
+        ledger.record(|| obs::Event::SchedArrival { at, app: id });
+        if !(self.queue.is_empty() && self.fits(ledger.reqs[app].config.nodes)) {
+            ledger.record(|| obs::Event::SchedQueued { at, app: id });
+            if let Some(reg) = ledger.metrics() {
+                reg.inc("sched.queued");
+            }
+        }
+        self.queue.push_back(app);
+        self.drain(at_s, e)
     }
 
-    fn record(&mut self, ev: obs::Event) {
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.record(ev);
+    /// Application `app` leaves the system at `at_s`: its capacity frees
+    /// up and the queue drains.
+    pub(crate) fn release<'a>(
+        &mut self,
+        app: usize,
+        at_s: f64,
+        e: &mut impl Engine<'a>,
+    ) -> Result<(), SchedError> {
+        let (at, id) = (ns(at_s), app as u32);
+        let ledger = e.ledger();
+        ledger.record(|| obs::Event::SchedReleased { at, app: id });
+        self.running -= 1;
+        self.nodes_in_use -= ledger.reqs[app].config.nodes;
+        self.drain(at_s, e)
+    }
+
+    /// Does a request for `nodes` fit next to the running set right now?
+    fn fits(&self, nodes: usize) -> bool {
+        self.running < self.max_concurrent && self.nodes_in_use + nodes <= self.max_nodes
+    }
+
+    /// Admit from the queue head, in order, while the head fits.
+    fn drain<'a>(&mut self, at_s: f64, e: &mut impl Engine<'a>) -> Result<(), SchedError> {
+        let reqs = e.ledger().reqs;
+        while let Some(&app) = self.queue.front() {
+            let nodes = reqs[app].config.nodes;
+            if !self.fits(nodes) {
+                break;
+            }
+            self.queue.pop_front();
+            self.running += 1;
+            self.nodes_in_use += nodes;
+            let (at, id) = (ns(at_s), app as u32);
+            let ledger = e.ledger();
+            ledger.record(|| obs::Event::SchedAdmitted { at, app: id });
+            if let Some(reg) = ledger.metrics() {
+                reg.inc("sched.admissions");
+                reg.observe("sched.wait_s", at_s - reqs[app].arrival_s);
+            }
+            e.admit(app, at_s)?;
         }
+        if let Some(reg) = e.ledger().metrics() {
+            reg.observe("sched.queue_depth", self.queue.len() as f64);
+        }
+        Ok(())
+    }
+}
+
+/// The decision ledger both engines share: the session's requests, the
+/// lifecycle trace, the metrics registry, the decision and restripe
+/// logs, and the per-application outcomes.
+#[derive(Default)]
+pub(crate) struct Ledger<'a> {
+    recorder: Option<&'a mut dyn obs::Recorder>,
+    metrics: Option<&'a mut obs::metrics::MetricsRegistry>,
+    pub(crate) reqs: &'a [AppRequest],
+    policy: &'static str,
+    decisions: Vec<Decision>,
+    restripes: Vec<RestripeRecord>,
+    outcomes: Vec<Option<AppOutcome>>,
+}
+
+impl Ledger<'_> {
+    /// Trace the event `ev` builds, if a recorder is attached.
+    fn record(&mut self, ev: impl FnOnce() -> obs::Event) {
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.record(ev());
+        }
+    }
+
+    /// The attached metrics registry, if any.
+    pub(crate) fn metrics(&mut self) -> Option<&mut obs::metrics::MetricsRegistry> {
+        self.metrics.as_deref_mut()
+    }
+
+    /// Commit a placement of `app` on `targets` at `at_s`: a
+    /// `SchedPlaced` event, a decision-log entry and the per-policy
+    /// decision count.
+    pub(crate) fn decide(&mut self, app: usize, at_s: f64, targets: &[TargetId], replaced: bool) {
+        let targets: Vec<u32> = targets.iter().map(|t| t.0).collect();
+        let policy = self.policy;
+        self.record(|| obs::Event::SchedPlaced {
+            at: ns(at_s),
+            app: app as u32,
+            policy: policy.to_string(),
+            targets: targets.clone(),
+        });
+        self.log(app, at_s, targets, replaced);
+    }
+
+    /// Commit a mid-flight stripe change of `app` from `from` to `to` at
+    /// `at_s`: a replacing decision plus a [`RestripeRecord`] of `kind`.
+    /// A fault eviction (`"evict"`) is a re-placement and traces as
+    /// `SchedPlaced`; an adaptive restripe traces as `SchedRestriped` and
+    /// counts under `sched.restripes`.
+    pub(crate) fn restripe(
+        &mut self,
+        app: usize,
+        at_s: f64,
+        kind: &str,
+        from: &[TargetId],
+        to: &[TargetId],
+    ) {
+        let record = RestripeRecord {
+            app: app as u32,
+            at_s,
+            kind: kind.to_string(),
+            from: from.iter().map(|t| t.0).collect(),
+            to: to.iter().map(|t| t.0).collect(),
+        };
+        if kind == "evict" {
+            self.decide(app, at_s, to, true);
+        } else {
+            self.record(|| obs::Event::SchedRestriped {
+                at: ns(at_s),
+                app: record.app,
+                kind: record.kind.clone(),
+                from: record.from.clone(),
+                to: record.to.clone(),
+            });
+            if let Some(reg) = self.metrics() {
+                reg.inc("sched.restripes");
+                reg.inc(&format!("sched.restripes.{kind}"));
+            }
+            self.log(app, at_s, record.to.clone(), true);
+        }
+        self.restripes.push(record);
+    }
+
+    fn log(&mut self, app: usize, at_s: f64, targets: Vec<u32>, replaced: bool) {
+        self.decisions.push(Decision {
+            app: app as u32,
+            arrival_s: self.reqs[app].arrival_s,
+            admit_s: at_s,
+            policy: self.policy.to_string(),
+            targets,
+            replaced,
+        });
+        if let Some(reg) = self.metrics.as_deref_mut() {
+            reg.inc(&format!("sched.decisions.{}", self.policy));
+        }
+    }
+
+    /// Commit the outcome of `app`, which ran over `span` (admission to
+    /// completion) on `targets`. `duration_s` is the engine's own measure
+    /// of that span (the frozen oracle's measurement run can differ from
+    /// `end - admit` in the last bit); wait, slowdown and bandwidth derive.
+    pub(crate) fn complete(
+        &mut self,
+        app: usize,
+        span: Range<f64>,
+        duration_s: f64,
+        ideal_s: f64,
+        bytes: u64,
+        targets: Vec<TargetId>,
+    ) {
+        let arrival_s = self.reqs[app].arrival_s;
+        self.outcomes[app] = Some(AppOutcome {
+            app,
+            arrival_s,
+            admit_s: span.start,
+            end_s: span.end,
+            wait_s: span.start - arrival_s,
+            duration_s,
+            ideal_s,
+            slowdown: (span.end - arrival_s) / ideal_s,
+            bytes,
+            targets,
+            bandwidth: Bandwidth::from_bytes_per_sec(bytes as f64 / duration_s),
+        });
+    }
+
+    /// The session's outcome: every request completed exactly once,
+    /// plus the logs and the simulation work behind them.
+    pub(crate) fn finish(self, sim_events: u64) -> SchedOutcome {
+        let apps: Vec<AppOutcome> = self
+            .outcomes
+            .into_iter()
+            .map(|o| o.expect("every request was admitted exactly once"))
+            .collect();
+        let intervals: Vec<AppInterval> = apps
+            .iter()
+            .map(|a| AppInterval {
+                start_s: a.admit_s,
+                end_s: a.end_s,
+                volume_bytes: a.bytes,
+            })
+            .collect();
+        SchedOutcome {
+            decisions: self.decisions,
+            restripes: self.restripes,
+            aggregate: Bandwidth::from_bytes_per_sec(aggregate_bandwidth(&intervals)),
+            makespan_s: apps.iter().map(|a| a.end_s).fold(0.0, f64::max),
+            sim_events,
+            apps,
+        }
+    }
+}
+
+/// An application currently on the frozen oracle's system.
+struct Running {
+    app: usize,
+    start_s: f64,
+    end_s: f64,
+    /// Wall time from `start_s` to `end_s` as last measured.
+    duration_s: f64,
+    ideal_s: f64,
+    placement: Placement,
+    targets: Vec<TargetId>,
+    bytes: u64,
+}
+
+/// The frozen oracle's session: the running set as committed so far and
+/// the feedback its measurement runs accumulate.
+struct Frozen<'fs, 'r, 'a> {
+    sched: Scheduler<'fs, 'r>,
+    ledger: Ledger<'a>,
+    factory: &'a RngFactory,
+    running: Vec<Running>,
+    /// Per-target utilization from the last committed measurement run.
+    busy_fraction: Vec<f64>,
+    /// Per-target straggler suspicion accumulated from the hedge
+    /// reports of committed measurement runs; sticky for the session.
+    suspected: Vec<bool>,
+    /// Recycled simulation buffers shared by every measurement run of
+    /// the session (one admission can trigger several).
+    arena: SimArena,
+    sim_events: u64,
+}
+
+impl Frozen<'_, '_, '_> {
+    /// Ask the policy for a placement against the committed running set.
+    fn place(
+        &mut self,
+        stripe: u32,
+        bytes: u64,
+        rng: &mut StreamRng,
+    ) -> Result<Placement, SchedError> {
+        let running = self.running.iter().map(|r| (&r.targets[..], r.bytes));
+        let inputs = ViewInputs::new(self.sched.fs, running);
+        let platform = self.sched.fs.platform();
+        let view = inputs.view(platform, &self.busy_fraction, &self.suspected);
+        Ok(self.sched.policy.place(&view, stripe, bytes, rng)?)
+    }
+}
+
+impl<'a> Engine<'a> for Frozen<'_, '_, 'a> {
+    fn ledger(&mut self) -> &mut Ledger<'a> {
+        &mut self.ledger
     }
 
     /// Admit request `i` at instant `now`: place it, price it with a
     /// measurement run (re-placing around dead targets as needed),
     /// commit its completion, and measure its solo baseline.
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        &mut self,
-        i: usize,
-        now: f64,
-        reqs: &[crate::arrivals::AppRequest],
-        running: &mut Vec<Running>,
-        decisions: &mut Vec<Decision>,
-        busy_fraction: &mut [f64],
-        outcomes: &mut [Option<AppOutcome>],
-        sim_events: &mut u64,
-        factory: &RngFactory,
-    ) -> Result<(), SchedError> {
-        let req = &reqs[i];
-        if let Some(reg) = self.metrics.as_deref_mut() {
-            reg.inc("sched.admissions");
-            reg.observe("sched.wait_s", now - req.arrival_s);
-        }
-        let mut place_rng = factory.stream("sched-place", i as u64);
-        let inputs = ViewInputs::new(self.fs, running.iter().map(|r| (&r.targets[..], r.bytes)));
-        let mut placement = self.policy.place(
-            &inputs.view(self.fs.platform(), busy_fraction, &self.suspected),
-            req.stripe,
-            req.config.total_bytes,
-            &mut place_rng,
-        )?;
+    fn admit(&mut self, i: usize, now: f64) -> Result<(), SchedError> {
+        let req = self.ledger.reqs[i];
+        let mut place_rng = self.factory.stream("sched-place", i as u64);
+        let mut placement = self.place(req.stripe, req.config.total_bytes, &mut place_rng)?;
         // Incumbents re-placed during fault retries, by `running` index.
-        let mut replaced: Vec<bool> = vec![false; running.len()];
-        let total_targets = self.fs.platform().total_targets();
-
-        for attempt in 0..=total_targets {
-            let mut run = Run::new(self.fs).arena(&mut self.arena);
-            for r in running.iter() {
-                run = run.app(spec_for(&r.placement, r.cfg).starting_at(r.start_s));
-            }
-            run = run
-                .app(spec_for(&placement, req.config).starting_at(now))
-                .faults(self.faults.clone())
-                .policy(self.retry);
-            if let Some(cfg) = self.hedge {
-                run = run.hedge(cfg);
-            }
-            let mut rng = factory.stream("sched-run", (i as u64) << 8 | attempt as u64);
-            let result = run.execute(&mut rng);
-            if let Some(reg) = self.metrics.as_deref_mut() {
-                reg.inc("sched.measurement_runs");
-            }
-            match result {
-                Ok((out, telemetry)) => {
-                    *sim_events += out.sim_events;
-                    // Quarantine targets the hedging detector flagged.
-                    if let Some(report) = &out.hedge {
-                        for &t in &report.flagged {
-                            self.suspected[t.index()] = true;
-                        }
-                    }
-                    if let Some(reg) = self.metrics.as_deref_mut() {
-                        reg.add("sched.measurement_sim_events", out.sim_events);
-                        let n = self.suspected.iter().filter(|&&s| s).count();
-                        reg.gauge_max("sched.suspected_targets", n as f64);
-                    }
-                    // Refresh the per-target utilization feedback.
-                    let platform = self.fs.platform().clone();
-                    for t in platform.all_targets() {
-                        let label = format!(
-                            "oss{}.ost{}",
-                            platform.server_of(t).index(),
-                            platform.slot_of(t)
-                        );
-                        if let Some(r) = telemetry.resources.iter().find(|r| r.label == label) {
-                            busy_fraction[t.index()] = r.utilization(telemetry.io_secs);
-                        }
-                    }
-                    // Re-placed incumbents take their new completion
-                    // (and allocation) from this run.
-                    for (j, r) in running.iter_mut().enumerate() {
-                        if !replaced[j] {
-                            continue;
-                        }
-                        let res = &out.apps[j];
-                        r.end_s = r.start_s + res.duration_s;
-                        r.targets = res.file_targets[0].clone();
-                        self.record(obs::Event::SchedPlaced {
-                            at: ns(now),
-                            app: r.app as u32,
-                            policy: self.policy.name().to_string(),
-                            targets: r.targets.iter().map(|t| t.0).collect(),
-                        });
-                        decisions.push(Decision {
-                            app: r.app as u32,
-                            arrival_s: reqs[r.app].arrival_s,
-                            admit_s: now,
-                            policy: self.policy.name().to_string(),
-                            targets: r.targets.iter().map(|t| t.0).collect(),
-                            replaced: true,
-                        });
-                        if let Some(reg) = self.metrics.as_deref_mut() {
-                            reg.inc(&format!("sched.decisions.{}", self.policy.name()));
-                        }
-                        if let Some(o) = outcomes[r.app].as_mut() {
-                            o.end_s = r.end_s;
-                            o.duration_s = r.end_s - o.admit_s;
-                            o.targets = r.targets.clone();
-                            o.slowdown = (o.end_s - o.arrival_s) / o.ideal_s;
-                            o.bandwidth =
-                                Bandwidth::from_bytes_per_sec(o.bytes as f64 / o.duration_s);
-                        }
-                    }
-                    let res = out.apps.last().expect("run included the new app");
-                    let targets = res.file_targets[0].clone();
-                    let end_s = now + res.duration_s;
-                    self.record(obs::Event::SchedPlaced {
-                        at: ns(now),
-                        app: i as u32,
-                        policy: self.policy.name().to_string(),
-                        targets: targets.iter().map(|t| t.0).collect(),
-                    });
-                    decisions.push(Decision {
-                        app: i as u32,
-                        arrival_s: req.arrival_s,
-                        admit_s: now,
-                        policy: self.policy.name().to_string(),
-                        targets: targets.iter().map(|t| t.0).collect(),
-                        replaced: attempt > 0,
-                    });
-                    if let Some(reg) = self.metrics.as_deref_mut() {
-                        reg.inc(&format!("sched.decisions.{}", self.policy.name()));
-                    }
-                    // Solo baseline: same allocation, idle fault-free
-                    // system — the denominator of the slowdown metric.
-                    let mut solo_rng = factory.stream("sched-solo", i as u64);
-                    let (solo, _) = Run::new(self.fs)
-                        .arena(&mut self.arena)
-                        .app(AppSpec::pinned(req.config, targets.clone()))
-                        .execute(&mut solo_rng)?;
-                    *sim_events += solo.sim_events;
-                    if let Some(reg) = self.metrics.as_deref_mut() {
-                        reg.add("sched.solo_sim_events", solo.sim_events);
-                    }
-                    let ideal_s = solo.apps[0].duration_s;
-                    let duration_s = res.duration_s;
-                    outcomes[i] = Some(AppOutcome {
-                        app: i,
-                        arrival_s: req.arrival_s,
-                        admit_s: now,
-                        end_s,
-                        wait_s: now - req.arrival_s,
-                        duration_s,
-                        ideal_s,
-                        slowdown: (end_s - req.arrival_s) / ideal_s,
-                        bytes: res.bytes,
-                        targets: targets.clone(),
-                        bandwidth: res.bandwidth,
-                    });
-                    running.push(Running {
-                        app: i,
-                        cfg: req.config,
-                        start_s: now,
-                        end_s,
-                        placement: Placement::Pinned(targets.clone()),
-                        targets,
-                        bytes: res.bytes,
-                    });
-                    return Ok(());
+        let mut replaced: Vec<bool> = vec![false; self.running.len()];
+        let (out, telemetry, attempt) = 'measured: {
+            for attempt in 0..=self.sched.fs.platform().total_targets() {
+                let mut run = Run::new(self.sched.fs).arena(&mut self.arena);
+                for r in &self.running {
+                    let cfg = self.ledger.reqs[r.app].config;
+                    run = run.app(spec_for(&r.placement, cfg).starting_at(r.start_s));
                 }
-                Err(RunError::TargetUnavailable { target, .. }) => {
-                    // The target is gone for good (the plan never
-                    // revives it within the retry deadline): take it out
-                    // of the pool and re-place everyone who touched it.
-                    self.fs
-                        .set_target_state(target, TargetState::Offline)
-                        .expect("run validated the fault plan's targets");
-                    if let Some(reg) = self.metrics.as_deref_mut() {
-                        reg.inc("sched.evictions");
-                    }
-                    let inputs =
-                        ViewInputs::new(self.fs, running.iter().map(|r| (&r.targets[..], r.bytes)));
-                    if placed_on(&placement, target) {
-                        placement = self.policy.place(
-                            &inputs.view(self.fs.platform(), busy_fraction, &self.suspected),
-                            req.stripe,
-                            req.config.total_bytes,
-                            &mut place_rng,
-                        )?;
-                    }
-                    for (j, r) in running.iter_mut().enumerate() {
-                        if r.targets.contains(&target) {
-                            let stripe = r.targets.len() as u32;
-                            r.placement = self.policy.place(
-                                &inputs.view(self.fs.platform(), busy_fraction, &self.suspected),
-                                stripe,
-                                r.bytes,
-                                &mut place_rng,
-                            )?;
-                            replaced[j] = true;
-                            if let Some(reg) = self.metrics.as_deref_mut() {
-                                reg.inc("sched.replacements");
-                            }
+                run = run.app(spec_for(&placement, req.config).starting_at(now));
+                run = run.faults(self.sched.faults.clone());
+                run = run.policy(self.sched.retry);
+                if let Some(cfg) = self.sched.hedge {
+                    run = run.hedge(cfg);
+                }
+                let stream = (i as u64) << 8 | attempt as u64;
+                let result = run.execute(&mut self.factory.stream("sched-run", stream));
+                if let Some(reg) = self.ledger.metrics() {
+                    reg.inc("sched.measurement_runs");
+                }
+                let target = match result {
+                    Ok((out, telemetry)) => break 'measured (out, telemetry, attempt),
+                    Err(RunError::TargetUnavailable { target, .. }) => target,
+                    Err(e) => return Err(SchedError::Run(e)),
+                };
+                // The target is gone for good (the plan never revives it
+                // within the retry deadline): take it out of the pool and
+                // re-place everyone who touched it.
+                self.sched
+                    .fs
+                    .set_target_state(target, TargetState::Offline)
+                    .expect("run validated the fault plan's targets");
+                if let Some(reg) = self.ledger.metrics() {
+                    reg.inc("sched.evictions");
+                }
+                if matches!(&placement, Placement::Pinned(t) if t.contains(&target)) {
+                    placement = self.place(req.stripe, req.config.total_bytes, &mut place_rng)?;
+                }
+                for (j, moved) in replaced.iter_mut().enumerate() {
+                    let r = &self.running[j];
+                    if r.targets.contains(&target) {
+                        let (stripe, bytes) = (r.targets.len() as u32, r.bytes);
+                        self.running[j].placement = self.place(stripe, bytes, &mut place_rng)?;
+                        *moved = true;
+                        if let Some(reg) = self.ledger.metrics() {
+                            reg.inc("sched.replacements");
                         }
                     }
                 }
-                Err(e) => return Err(SchedError::Run(e)),
+            }
+            return Err(SchedError::ReplacementExhausted { app: i });
+        };
+        self.sim_events += out.sim_events;
+        // Quarantine targets the hedging detector flagged.
+        for t in out.hedge.iter().flat_map(|h| &h.flagged) {
+            self.suspected[t.index()] = true;
+        }
+        if let Some(reg) = self.ledger.metrics() {
+            reg.add("sched.measurement_sim_events", out.sim_events);
+            let n = self.suspected.iter().filter(|&&s| s).count();
+            reg.gauge_max("sched.suspected_targets", n as f64);
+        }
+        // Refresh the per-target utilization feedback.
+        let platform = self.sched.fs.platform();
+        for t in platform.all_targets() {
+            let (server, slot) = (platform.server_of(t).index(), platform.slot_of(t));
+            let label = format!("oss{server}.ost{slot}");
+            if let Some(r) = telemetry.resources.iter().find(|r| r.label == label) {
+                self.busy_fraction[t.index()] = r.utilization(telemetry.io_secs);
             }
         }
-        Err(SchedError::ReplacementExhausted { app: i })
+        // Re-placed incumbents take their new completion (and
+        // allocation) from this run.
+        for (j, r) in self.running.iter_mut().enumerate() {
+            if !replaced[j] {
+                continue;
+            }
+            let res = &out.apps[j];
+            r.end_s = r.start_s + res.duration_s;
+            r.duration_s = r.end_s - r.start_s;
+            r.targets = res.file_targets[0].clone();
+            self.ledger.decide(r.app, now, &r.targets, true);
+        }
+        let res = out.apps.last().expect("run included the new app");
+        let targets = res.file_targets[0].clone();
+        self.ledger.decide(i, now, &targets, attempt > 0);
+        // Solo baseline: same allocation, idle fault-free system — the
+        // denominator of the slowdown metric.
+        let mut solo_rng = self.factory.stream("sched-solo", i as u64);
+        let (solo, _) = Run::new(self.sched.fs)
+            .arena(&mut self.arena)
+            .app(AppSpec::pinned(req.config, targets.clone()))
+            .execute(&mut solo_rng)?;
+        self.sim_events += solo.sim_events;
+        if let Some(reg) = self.ledger.metrics() {
+            reg.add("sched.solo_sim_events", solo.sim_events);
+        }
+        self.running.push(Running {
+            app: i,
+            start_s: now,
+            end_s: now + res.duration_s,
+            duration_s: res.duration_s,
+            ideal_s: solo.apps[0].duration_s,
+            placement: Placement::Pinned(targets.clone()),
+            targets,
+            bytes: res.bytes,
+        });
+        Ok(())
     }
-}
-
-/// Does an admission of `nodes` fit next to the running applications'
-/// node counts right now?
-pub(crate) fn fits(
-    running_nodes: impl ExactSizeIterator<Item = usize>,
-    nodes: usize,
-    max_concurrent: usize,
-    max_nodes: usize,
-) -> bool {
-    running_nodes.len() < max_concurrent && running_nodes.sum::<usize>() + nodes <= max_nodes
 }
 
 fn spec_for(placement: &Placement, cfg: IorConfig) -> AppSpec {
     match placement {
         Placement::Deferred => AppSpec::new(cfg),
         Placement::Pinned(targets) => AppSpec::pinned(cfg, targets.clone()),
-    }
-}
-
-fn placed_on(placement: &Placement, target: TargetId) -> bool {
-    match placement {
-        Placement::Deferred => false,
-        Placement::Pinned(targets) => targets.contains(&target),
     }
 }
 
@@ -956,6 +1042,37 @@ mod tests {
             .serve(&mixed, &factory)
             .unwrap_err();
         assert!(matches!(err, SchedError::MixedWorkload { app: 1 }));
+    }
+
+    #[test]
+    fn invalid_request_configs_fail_alike_in_both_modes() {
+        // A zero-byte request is an invalid `IorConfig`: both admission
+        // modes must reject the stream with the same typed error instead
+        // of serving it.
+        let factory = RngFactory::new(8);
+        let stream = ArrivalStream::from_trace(vec![
+            req(0.0, 4),
+            AppRequest {
+                config: req(1.0, 4).config.with_total_bytes(0),
+                ..req(1.0, 4)
+            },
+        ])
+        .unwrap();
+        for mode in [AdmissionMode::FrozenOracle, AdmissionMode::Online] {
+            let mut fs = deploy(ChooserKind::RoundRobin);
+            let err = Scheduler::new(&mut fs, Box::new(LeastLoadedServer))
+                .mode(mode)
+                .serve(&stream, &factory)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SchedError::Run(RunError::Config(ior::ConfigError::ZeroBytes))
+                ),
+                "{}: {err}",
+                mode.label()
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,9 @@ cargo test --workspace -q --locked
 echo "==> cargo build --release"
 cargo build --release --locked
 
+echo "==> cargo build --release (perfbench, a separate workspace that the workspace build skips)"
+cargo build --release --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --locked -- -D warnings
 

@@ -348,3 +348,84 @@ fn chooser_state_isolated_between_deployments() {
         assert_eq!(f1.targets, f2.targets);
     }
 }
+
+#[test]
+fn sched_lifecycle_events_are_byte_identical_to_the_committed_golden() {
+    // The scheduler's lifecycle trace (`Sched*` events: kind, app,
+    // sim-time instant and placed targets) in both admission modes, over
+    // three seed-31 sessions: the plain stream, the same stream
+    // serialized by `max_concurrent(1)` (queue and drain paths), and a
+    // permanent outage of target 0 (fault re-placement). Arrival,
+    // queueing, admission, placement and release order all show here,
+    // and per-layer wall-time attribution reads exactly this sequence.
+    use beegfs_repro::cluster::TargetId;
+    use beegfs_repro::core::FaultPlan;
+    use beegfs_repro::ior::RetryPolicy;
+    use beegfs_repro::obs::{Event, Timeline};
+    use beegfs_repro::sched::AdmissionMode;
+    use std::fmt::Write as _;
+
+    let line = |e: &Event| -> Option<String> {
+        let (app, at, targets) = match e {
+            Event::SchedArrival { at, app }
+            | Event::SchedQueued { at, app }
+            | Event::SchedAdmitted { at, app }
+            | Event::SchedReleased { at, app } => (app, at, None),
+            Event::SchedPlaced {
+                at, app, targets, ..
+            } => (app, at, Some(targets)),
+            Event::SchedRestriped { at, app, to, .. } => (app, at, Some(to)),
+            _ => return None,
+        };
+        let targets = targets.map_or(String::new(), |t| format!(" {t:?}"));
+        Some(format!("{:?} app={app} at={at}{targets}", e.kind()))
+    };
+    let mut golden = String::new();
+    for mode in [AdmissionMode::FrozenOracle, AdmissionMode::Online] {
+        for session in ["plain", "max_concurrent_1", "outage_t0"] {
+            let factory = RngFactory::new(31);
+            let stream = ArrivalStream::poisson(
+                0.3,
+                6,
+                IorConfig::paper_default(4).with_total_bytes(4 * GIB),
+                4,
+                &mut factory.stream("arrivals", 0),
+            );
+            let mut fs = BeeGfs::new(
+                presets::plafrim_ethernet(),
+                DirConfig::plafrim_default(),
+                plafrim_registration_order(),
+            );
+            let mut timeline = Timeline::new();
+            let mut sched = Scheduler::new(&mut fs, Box::new(LeastLoadedServer)).mode(mode);
+            match session {
+                "max_concurrent_1" => sched = sched.max_concurrent(1),
+                "outage_t0" => {
+                    // 5.2 s lands while apps 1-3 overlap: the frozen
+                    // oracle re-places a running incumbent as well as the
+                    // newcomer, and the online engine evicts live apps.
+                    sched = sched
+                        .faults(FaultPlan::new().target_offline(5.2, TargetId(0)).unwrap())
+                        .retry(RetryPolicy {
+                            deadline_s: 5.0,
+                            ..RetryPolicy::default()
+                        });
+                }
+                _ => {}
+            }
+            let out = sched.trace(&mut timeline).serve(&stream, &factory).unwrap();
+            if session == "outage_t0" {
+                assert!(
+                    out.decisions.iter().any(|d| d.replaced),
+                    "{} outage session never re-placed",
+                    mode.label()
+                );
+            }
+            writeln!(golden, "# {} {session}", mode.label()).unwrap();
+            for l in timeline.events().iter().filter_map(line) {
+                writeln!(golden, "{l}").unwrap();
+            }
+        }
+    }
+    check_golden("tests/golden/sched_lifecycle_seed31.txt", golden.as_bytes());
+}
