@@ -10,9 +10,10 @@
 //!   single slow round cannot move the result;
 //! * [`committed`] reads a baseline or threshold from a committed file;
 //!   the benches never write one;
-//! * [`write_measurement`] writes a result under `target/bench/`;
+//! * [`write_measurement`] writes a result under `target/bench/`, with
+//!   the process's peak RSS added as `peak_rss_mib`;
 //! * [`cpu_seconds`] is process CPU time for benches that must not gate
-//!   on wall time;
+//!   on wall time, [`peak_rss_mib`] the peak resident set so far;
 //! * [`hotpath_rep`] is the solver hot-path workload that three gates
 //!   time against one committed number;
 //! * [`fail`] reports a failed gate and exits.
@@ -55,6 +56,26 @@ pub fn interleaved(reps: usize, legs: usize, mut leg: impl FnMut(usize, usize) -
 /// single-threaded workload CPU time is a stable quantity on shared
 /// hosts where wall-clock throughput swings 2-3x with neighbour load.
 pub fn cpu_seconds() -> f64 {
+    if let Some(usage) = rusage() {
+        return usage.cpu_s;
+    }
+    static ANCHOR: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+    ANCHOR.get_or_init(Instant::now).elapsed().as_secs_f64()
+}
+
+/// Peak resident set size of the process so far, in MiB (`getrusage`'s
+/// `ru_maxrss`); `None` off Linux.
+pub fn peak_rss_mib() -> Option<f64> {
+    rusage().map(|usage| usage.peak_rss_mib)
+}
+
+/// The two `getrusage(RUSAGE_SELF)` readings the harness reports.
+struct Usage {
+    cpu_s: f64,
+    peak_rss_mib: f64,
+}
+
+fn rusage() -> Option<Usage> {
     #[cfg(target_os = "linux")]
     {
         #[repr(C)]
@@ -66,8 +87,10 @@ pub fn cpu_seconds() -> f64 {
         struct Rusage {
             utime: Timeval,
             stime: Timeval,
-            // ru_maxrss .. ru_nivcsw: 14 more longs on Linux.
-            rest: [i64; 14],
+            /// KiB on Linux.
+            maxrss: i64,
+            // ru_ixrss .. ru_nivcsw: 13 more longs on Linux.
+            rest: [i64; 13],
         }
         extern "C" {
             fn getrusage(who: i32, usage: *mut Rusage) -> i32;
@@ -75,16 +98,19 @@ pub fn cpu_seconds() -> f64 {
         let mut r = Rusage {
             utime: Timeval { sec: 0, usec: 0 },
             stime: Timeval { sec: 0, usec: 0 },
-            rest: [0; 14],
+            maxrss: 0,
+            rest: [0; 13],
         };
         // SAFETY: RUSAGE_SELF (0) with a properly sized, writable struct.
         if unsafe { getrusage(0, &mut r) } == 0 {
-            return (r.utime.sec + r.stime.sec) as f64
-                + (r.utime.usec + r.stime.usec) as f64 * 1e-6;
+            return Some(Usage {
+                cpu_s: (r.utime.sec + r.stime.sec) as f64
+                    + (r.utime.usec + r.stime.usec) as f64 * 1e-6,
+                peak_rss_mib: r.maxrss as f64 / 1024.0,
+            });
         }
     }
-    static ANCHOR: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    ANCHOR.get_or_init(Instant::now).elapsed().as_secs_f64()
+    None
 }
 
 /// The repository root, where the committed baselines live.
@@ -109,13 +135,30 @@ pub fn committed(file: &str, key: &str) -> Option<f64> {
 }
 
 /// Write a bench result to `target/bench/<file>` and return the path.
-/// Never touches the committed baseline of the same name.
+/// `json` is one JSON object; the process's peak RSS so far is appended
+/// to it as `peak_rss_mib` (where `getrusage` reports one). Never touches
+/// the committed baseline of the same name.
 pub fn write_measurement(file: &str, json: &str) -> PathBuf {
     let path = measurement_path(file);
     std::fs::create_dir_all(path.parent().expect("measurement path has a parent"))
         .expect("create target/bench");
+    let json = match peak_rss_mib() {
+        Some(rss) => with_field(json, "peak_rss_mib", &format!("{rss:.1}")),
+        None => json.to_string(),
+    };
     std::fs::write(&path, json).expect("write bench json");
     path
+}
+
+/// `json` (one object) with `"key": value` appended as its last field.
+fn with_field(json: &str, key: &str, value: &str) -> String {
+    let body = json.trim_end();
+    let body = body
+        .strip_suffix('}')
+        .expect("a bench result is one JSON object")
+        .trim_end();
+    let sep = if body.ends_with('{') { "" } else { "," };
+    format!("{body}{sep}\n  \"{key}\": {value}\n}}\n")
 }
 
 /// Report a failed gate on stderr and exit with status 1.
@@ -267,6 +310,23 @@ mod tests {
         assert!(v.is_some_and(|x| x > 0.0), "{v:?}");
         assert_eq!(committed("BENCH_flow_hotpath.json", "no_such_key"), None);
         assert_eq!(committed("BENCH_no_such_file.json", "reps"), None);
+    }
+
+    #[test]
+    fn results_gain_a_last_field() {
+        assert_eq!(
+            with_field("{\n  \"a\": 1\n}\n", "peak_rss_mib", "3.5"),
+            "{\n  \"a\": 1,\n  \"peak_rss_mib\": 3.5\n}\n"
+        );
+        assert_eq!(with_field("{}", "k", "1"), "{\n  \"k\": 1\n}\n");
+        let written = write_measurement("BENCH_rss_selftest.json", "{\n  \"x\": 2\n}\n");
+        let back = std::fs::read_to_string(&written).unwrap();
+        std::fs::remove_file(&written).unwrap();
+        assert_eq!(extract_f64(&back, "x"), Some(2.0));
+        if cfg!(target_os = "linux") {
+            let rss = extract_f64(&back, "peak_rss_mib");
+            assert!(rss.is_some_and(|r| r > 0.0), "{back}");
+        }
     }
 
     #[test]

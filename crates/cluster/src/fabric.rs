@@ -73,7 +73,7 @@ pub struct Fabric {
     server_link: Vec<ResourceId>,
     server_backend: Vec<ResourceId>,
     ost: Vec<ResourceId>,
-    target_server: Vec<usize>,
+    target_server: Vec<u32>,
 }
 
 impl Fabric {
@@ -138,18 +138,14 @@ impl Fabric {
         }
 
         let mut ost = Vec::with_capacity(platform.total_targets());
-        let mut target_server = Vec::with_capacity(platform.total_targets());
-        let mut flat = 0usize;
         for (s, server) in platform.servers.iter().enumerate() {
             for (slot, profile) in server.osts.iter().enumerate() {
                 let r = net.add_resource(
                     format!("oss{s}.ost{slot}"),
                     profile.capacity_model_for(mode),
                 );
-                net.set_factor(r, noise.storage.device(flat));
+                net.set_factor(r, noise.storage.device(ost.len()));
                 ost.push(r);
-                target_server.push(s);
-                flat += 1;
             }
         }
 
@@ -162,7 +158,7 @@ impl Fabric {
             server_link,
             server_backend,
             ost,
-            target_server,
+            target_server: platform.topology.server.clone(),
         }
     }
 
@@ -176,7 +172,7 @@ impl Fabric {
         let t = target.index();
         assert!(node < self.node_cap.len(), "node {node} out of range");
         assert!(t < self.ost.len(), "target {target} out of range");
-        let s = self.target_server[t];
+        let s = self.target_server[t] as usize;
         let mut path = Vec::with_capacity(6);
         path.push(self.node_cap[node]);
         path.push(self.node_nic[node]);
@@ -241,7 +237,7 @@ pub struct FabricPaths {
     server_link: Vec<ResourceId>,
     server_backend: Vec<ResourceId>,
     ost: Vec<ResourceId>,
-    target_server: Vec<usize>,
+    target_server: Vec<u32>,
 }
 
 impl FabricPaths {
@@ -255,7 +251,7 @@ impl FabricPaths {
         let t = target.index();
         assert!(node < self.node_cap.len(), "node {node} out of range");
         assert!(t < self.ost.len(), "target {target} out of range");
-        let s = self.target_server[t];
+        let s = self.target_server[t] as usize;
         let mut path = Vec::with_capacity(6);
         path.push(self.node_cap[node]);
         path.push(self.node_nic[node]);

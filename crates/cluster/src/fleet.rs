@@ -30,7 +30,7 @@
 //! configuration and have the cache key capture the exact fleet.
 
 use crate::ids::TargetId;
-use crate::spec::{ComputeSpec, NetworkSpec, Platform, StorageServerSpec, SwitchPolicy};
+use crate::spec::{ComputeSpec, NetworkSpec, Platform, StorageServerSpec, SwitchPolicy, Topology};
 use serde::{Deserialize, Serialize};
 use simcore::units::Bandwidth;
 use storage::raid::Raid6Array;
@@ -311,6 +311,12 @@ impl FleetSpec {
                 reason: "need at least one target per server".to_string(),
             });
         }
+        if servers.checked_mul(per_server).is_none() {
+            return Err(ConfigError::Invalid {
+                field: "targets_per_server",
+                reason: format!("{servers} x {per_server} targets overflow u32 target ids"),
+            });
+        }
         if self.racks == 0 || servers % self.racks != 0 {
             return Err(ConfigError::Invalid {
                 field: "racks",
@@ -429,6 +435,13 @@ impl FleetSpec {
             });
         }
 
+        let servers: Vec<StorageServerSpec> = (0..servers)
+            .map(|_| StorageServerSpec {
+                backend: OssBackendProfile::new(backend),
+                osts: (0..per_server).map(|_| ost.clone()).collect(),
+            })
+            .collect();
+        let topology = Topology::new(&servers).expect("target count checked to fit u32 ids");
         Ok(Platform {
             name: self.name.clone(),
             compute: ComputeSpec {
@@ -445,15 +458,11 @@ impl FleetSpec {
                 link_variability: self.link_variability,
                 switch_policy: self.switch_policy,
             },
-            servers: (0..servers)
-                .map(|_| StorageServerSpec {
-                    backend: OssBackendProfile::new(backend),
-                    osts: (0..per_server).map(|_| ost.clone()).collect(),
-                })
-                .collect(),
+            servers,
             storage_variability: self.storage_variability,
             run_overhead_mean_s: self.run_overhead_mean_s,
             run_overhead_sigma: self.run_overhead_sigma,
+            topology,
         })
     }
 }

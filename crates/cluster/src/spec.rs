@@ -150,7 +150,15 @@ pub struct StorageServerSpec {
 /// field-by-field. Construction routes through [`crate::FleetSpec`]
 /// (parameterized fleets and all bundled presets) or deserialization,
 /// both of which validate what a struct literal would not.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Both also build the platform's target↔server index, which makes
+/// [`server_of`](Self::server_of), [`slot_of`](Self::slot_of),
+/// [`ost_profile`](Self::ost_profile) and
+/// [`targets_of`](Self::targets_of) O(1). The index is derived data:
+/// serialization is hand-written to leave it out, so platform JSON
+/// (golden fixtures, campaign cache keys) is the same as the derived
+/// form's.
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct Platform {
     /// Human-readable name (used in reports).
@@ -159,7 +167,10 @@ pub struct Platform {
     pub compute: ComputeSpec,
     /// Network side.
     pub network: NetworkSpec,
-    /// Storage servers in id order.
+    /// Storage servers in id order. Profiles may be edited in place, but
+    /// the number of OSTs per server is fixed at construction: the
+    /// target↔server index is built from it ([`Platform::validate`]
+    /// checks that it still matches).
     pub servers: Vec<StorageServerSpec>,
     /// Run-to-run variability of the storage devices (system + per-OST).
     pub storage_variability: VariabilityModel,
@@ -169,12 +180,108 @@ pub struct Platform {
     pub run_overhead_mean_s: f64,
     /// Lognormal sigma of the run overhead.
     pub run_overhead_sigma: f64,
+    /// Flat target id ↔ (server, slot), derived from `servers`.
+    pub(crate) topology: Topology,
+}
+
+/// The target↔server index of a platform: flat target ids are
+/// server-major, so server `s` owns the ids `first[s]..first[s + 1]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Topology {
+    /// Flat id of each server's first target, then the target count.
+    first: Vec<u32>,
+    /// Owning server of each flat target id.
+    pub(crate) server: Vec<u32>,
+}
+
+impl Topology {
+    /// Index a server list; `None` if the target count overflows a
+    /// `u32` target id.
+    pub(crate) fn new(servers: &[StorageServerSpec]) -> Option<Self> {
+        let total = servers.iter().try_fold(0u32, |sum, spec| {
+            sum.checked_add(u32::try_from(spec.osts.len()).ok()?)
+        })?;
+        if u32::try_from(servers.len()).is_err() {
+            return None;
+        }
+        let mut first = Vec::with_capacity(servers.len() + 1);
+        let mut server = Vec::with_capacity(total as usize);
+        for (s, spec) in servers.iter().enumerate() {
+            first.push(server.len() as u32);
+            server.resize(server.len() + spec.osts.len(), s as u32);
+        }
+        first.push(total);
+        Some(Topology { first, server })
+    }
+
+    /// Whether the index still describes `servers`: same server count,
+    /// same OST count per server.
+    fn matches(&self, servers: &[StorageServerSpec]) -> bool {
+        self.first.len() == servers.len() + 1
+            && servers
+                .iter()
+                .zip(self.first.windows(2))
+                .all(|(spec, ids)| (ids[1] - ids[0]) as usize == spec.osts.len())
+    }
+}
+
+impl Serialize for Platform {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("name".to_string(), self.name.to_value()),
+            ("compute".to_string(), self.compute.to_value()),
+            ("network".to_string(), self.network.to_value()),
+            ("servers".to_string(), self.servers.to_value()),
+            (
+                "storage_variability".to_string(),
+                self.storage_variability.to_value(),
+            ),
+            (
+                "run_overhead_mean_s".to_string(),
+                self.run_overhead_mean_s.to_value(),
+            ),
+            (
+                "run_overhead_sigma".to_string(),
+                self.run_overhead_sigma.to_value(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for Platform {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        fn need<T: Deserialize>(v: &serde::Value, k: &str) -> Result<T, serde::DeError> {
+            let field = v.get(k).ok_or_else(|| {
+                serde::DeError::custom(format!("missing field `{k}` in Platform"))
+            })?;
+            Deserialize::from_value(field)
+        }
+        let name = need(v, "name")?;
+        let compute = need(v, "compute")?;
+        let network = need(v, "network")?;
+        let servers: Vec<StorageServerSpec> = need(v, "servers")?;
+        let storage_variability = need(v, "storage_variability")?;
+        let run_overhead_mean_s = need(v, "run_overhead_mean_s")?;
+        let run_overhead_sigma = need(v, "run_overhead_sigma")?;
+        let topology = Topology::new(&servers)
+            .ok_or_else(|| serde::DeError::custom("Platform has more targets than u32 ids"))?;
+        Ok(Platform {
+            name,
+            compute,
+            network,
+            servers,
+            storage_variability,
+            run_overhead_mean_s,
+            run_overhead_sigma,
+            topology,
+        })
+    }
 }
 
 impl Platform {
     /// Total number of OSTs across all servers.
     pub fn total_targets(&self) -> usize {
-        self.servers.iter().map(|s| s.osts.len()).sum()
+        self.topology.server.len()
     }
 
     /// Number of storage servers.
@@ -187,14 +294,10 @@ impl Platform {
     /// # Panics
     /// Panics if the target id is out of range.
     pub fn server_of(&self, t: TargetId) -> ServerId {
-        let mut idx = t.index();
-        for (s, server) in self.servers.iter().enumerate() {
-            if idx < server.osts.len() {
-                return ServerId(s as u32);
-            }
-            idx -= server.osts.len();
+        match self.topology.server.get(t.index()) {
+            Some(&s) => ServerId(s),
+            None => panic!("target {t} out of range for platform {}", self.name),
         }
-        panic!("target {t} out of range for platform {}", self.name);
     }
 
     /// The within-server slot of a (flat) target id.
@@ -202,35 +305,31 @@ impl Platform {
     /// # Panics
     /// Panics if the target id is out of range.
     pub fn slot_of(&self, t: TargetId) -> u32 {
-        let mut idx = t.index();
-        for server in &self.servers {
-            if idx < server.osts.len() {
-                return idx as u32;
-            }
-            idx -= server.osts.len();
-        }
-        panic!("target {t} out of range for platform {}", self.name);
+        t.0 - self.topology.first[self.server_of(t).index()]
     }
 
-    /// All target ids of one server.
-    pub fn targets_of(&self, s: ServerId) -> Vec<TargetId> {
-        let mut base = 0usize;
-        for (i, server) in self.servers.iter().enumerate() {
-            if i == s.index() {
-                return (0..server.osts.len())
-                    .map(|j| TargetId((base + j) as u32))
-                    .collect();
-            }
-            base += server.osts.len();
-        }
-        panic!("server {s} out of range for platform {}", self.name);
+    /// All target ids of one server, ascending.
+    ///
+    /// # Panics
+    /// Panics if the server id is out of range.
+    pub fn targets_of(
+        &self,
+        s: ServerId,
+    ) -> impl DoubleEndedIterator<Item = TargetId> + ExactSizeIterator + Clone {
+        assert!(
+            s.index() < self.server_count(),
+            "server {s} out of range for platform {}",
+            self.name
+        );
+        let first = &self.topology.first;
+        (first[s.index()]..first[s.index() + 1]).map(TargetId)
     }
 
     /// All target ids, flat order (server-major).
-    pub fn all_targets(&self) -> Vec<TargetId> {
-        (0..self.total_targets())
-            .map(|i| TargetId(i as u32))
-            .collect()
+    pub fn all_targets(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = TargetId> + ExactSizeIterator + Clone {
+        (0..self.total_targets() as u32).map(TargetId)
     }
 
     /// The OST profile behind a target id.
@@ -238,9 +337,8 @@ impl Platform {
     /// # Panics
     /// Panics if the target id is out of range.
     pub fn ost_profile(&self, t: TargetId) -> &OstProfile {
-        let s = self.server_of(t);
-        let slot = self.slot_of(t) as usize;
-        &self.servers[s.index()].osts[slot]
+        let s = self.server_of(t).index();
+        &self.servers[s].osts[(t.0 - self.topology.first[s]) as usize]
     }
 
     /// Count targets per server for a selection — the paper's
@@ -253,7 +351,8 @@ impl Platform {
         counts
     }
 
-    /// Basic structural validation (non-empty servers, target presence).
+    /// Basic structural validation (non-empty servers, target presence,
+    /// a target index that matches the servers).
     ///
     /// # Panics
     /// Panics with a description of the first violated invariant.
@@ -263,6 +362,10 @@ impl Platform {
         for (i, s) in self.servers.iter().enumerate() {
             assert!(!s.osts.is_empty(), "server {i} has no OSTs");
         }
+        assert!(
+            self.topology.matches(&self.servers),
+            "target index is stale: a server's OST count changed after construction"
+        );
         assert!(
             self.run_overhead_mean_s >= 0.0 && self.run_overhead_mean_s.is_finite(),
             "invalid run overhead"
@@ -316,7 +419,7 @@ mod tests {
         for t in p.all_targets() {
             let s = p.server_of(t);
             let slot = p.slot_of(t);
-            assert!(p.targets_of(s).contains(&t));
+            assert!(p.targets_of(s).any(|x| x == t));
             assert!(slot < 4);
         }
         assert_eq!(p.server_of(TargetId(0)), ServerId(0));

@@ -82,7 +82,6 @@ pub fn predict_bandwidth(
         let server = &platform.servers[i];
         let ost_sum: f64 = platform
             .targets_of(cluster::ServerId(i as u32))
-            .into_iter()
             .filter(|t| selection.contains(t))
             .map(|t| {
                 let profile = platform.ost_profile(t);

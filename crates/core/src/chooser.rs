@@ -86,7 +86,7 @@ impl TargetSelector {
     /// A selector over the platform's targets in flat (server-major)
     /// registration order.
     pub fn new(kind: ChooserKind, platform: &Platform) -> Self {
-        Self::with_order(kind, platform, platform.all_targets())
+        Self::with_order(kind, platform, platform.all_targets().collect())
     }
 
     /// A selector with an explicit registration order (e.g.
@@ -246,7 +246,6 @@ impl TargetSelector {
             .map(|s| {
                 platform
                     .targets_of(ServerId(s as u32))
-                    .into_iter()
                     .filter(|t| self.online[t.index()])
                     .collect()
             })

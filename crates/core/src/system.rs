@@ -76,7 +76,7 @@ impl BeeGfs {
 
     /// Deploy with the platform's flat (server-major) registration order.
     pub fn with_flat_order(platform: Platform, dir: DirConfig) -> Self {
-        let order = platform.all_targets();
+        let order = platform.all_targets().collect();
         Self::new(platform, dir, order)
     }
 
@@ -411,7 +411,7 @@ mod tests {
         let mut fs = plafrim_fs();
         let mut r = rng();
         let (f, _) = fs.create_file(&mut r).unwrap();
-        let wide: Vec<TargetId> = fs.platform().all_targets();
+        let wide: Vec<TargetId> = fs.platform().all_targets().collect();
         let (g, latency) = fs.restripe_file(&f, wide.clone(), 8 * 1024, 1024).unwrap();
         assert_eq!(g.id, f.id, "restripe keeps the file id");
         assert_eq!(g.targets, wide);
@@ -451,7 +451,7 @@ mod tests {
         let (fa, _) = a.create_file(&mut ra).unwrap();
         let (_fb, _) = b.create_file(&mut rb).unwrap();
         let _ = a
-            .restripe_file(&fa, a.platform().all_targets(), 1024, 512)
+            .restripe_file(&fa, a.platform().all_targets().collect(), 1024, 512)
             .unwrap();
         let (na, _) = a.create_file(&mut ra).unwrap();
         let (nb, _) = b.create_file(&mut rb).unwrap();

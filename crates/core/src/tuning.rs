@@ -62,12 +62,7 @@ fn extreme_allocations(platform: &Platform, count: usize) -> (Vec<TargetId>, Vec
     let extra = count % m;
     for s in 0..m {
         let want = per + usize::from(s < extra);
-        balanced.extend(
-            platform
-                .targets_of(ServerId(s as u32))
-                .into_iter()
-                .take(want),
-        );
+        balanced.extend(platform.targets_of(ServerId(s as u32)).take(want));
     }
     // Least balanced: fill servers one at a time.
     let mut skewed = Vec::with_capacity(count);

@@ -64,7 +64,7 @@ pub struct Chowdhury {
 
 fn catalyst_fs(stripe: u32) -> BeeGfs {
     let platform = presets::catalyst_like();
-    let order = platform.all_targets();
+    let order = platform.all_targets().collect();
     BeeGfs::new(
         platform,
         DirConfig {

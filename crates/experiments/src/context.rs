@@ -94,7 +94,7 @@ pub fn deploy(scenario: Scenario, stripe_count: u32, chooser: ChooserKind) -> Be
 /// the path datacenter-scale cells take, where no measured registration
 /// sequence exists.
 pub fn deploy_on(platform: Platform, stripe_count: u32, chooser: ChooserKind) -> BeeGfs {
-    let order = platform.all_targets();
+    let order = platform.all_targets().collect();
     BeeGfs::new(
         platform,
         DirConfig {

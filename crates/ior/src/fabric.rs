@@ -89,7 +89,6 @@ impl<'r> WriteFabric<'r> {
         let (mut net, paths) = Fabric::build_for(platform, nodes, ppn, noise, mode).into_parts();
         let base_ost: Vec<f64> = platform
             .all_targets()
-            .into_iter()
             .map(|t| net.factor(paths.ost_resource(t)))
             .collect();
         let base_link: Vec<f64> = (0..platform.server_count())

@@ -211,15 +211,17 @@ impl LiveSim {
     /// integrals — the live engine's stand-in for the frozen path's
     /// whole-run telemetry, no recorder required. A zero-width window
     /// keeps the previous estimate.
-    fn refresh_busy(&mut self, platform: &Platform) {
+    fn refresh_busy(&mut self) {
         let now = self.sim.now().as_secs_f64();
         let dt = now - self.window_start_s;
         if dt <= 0.0 {
             return;
         }
-        for t in platform.all_targets() {
-            let i = t.index();
-            let busy = self.sim.network().busy_secs(self.paths.ost_resource(t));
+        for i in 0..self.busy_fraction.len() {
+            let busy = self
+                .sim
+                .network()
+                .busy_secs(self.paths.ost_resource(TargetId(i as u32)));
             self.busy_fraction[i] = ((busy - self.busy_snapshot[i]) / dt).min(1.0);
             self.busy_snapshot[i] = busy;
         }
@@ -384,7 +386,7 @@ impl Session<'_, '_, '_> {
         bytes: u64,
         rng: &mut StreamRng,
     ) -> Result<Placement, SchedError> {
-        self.live.refresh_busy(&self.platform);
+        self.live.refresh_busy();
         let inputs = self.view_inputs();
         let view = inputs.view(&self.platform, &self.live.busy_fraction, &self.suspected);
         Ok(self.sched.policy.place(&view, stripe, bytes, rng)?)
@@ -524,7 +526,7 @@ impl Session<'_, '_, '_> {
     /// back. Only ever called for feedback-wanting policies, so
     /// feedback-free sessions never enter this path.
     fn on_eval(&mut self, now_s: f64) -> Result<(), SchedError> {
-        self.live.refresh_busy(&self.platform);
+        self.live.refresh_busy();
         let now_ns = ns(now_s);
         let inputs = self.view_inputs();
         let mut actions: Vec<(usize, RestripeDecision)> = Vec::new();

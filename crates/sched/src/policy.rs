@@ -25,7 +25,7 @@
 //!   leaving bandwidth on the table.
 
 use beegfs_core::PolicyError;
-use cluster::{Platform, TargetId};
+use cluster::{Platform, ServerId, TargetId};
 use simcore::rng::StreamRng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -59,12 +59,15 @@ impl ClusterView<'_> {
     }
 
     /// Online targets of one server, flat ids ascending.
-    fn online_targets_of(&self, server: usize) -> Vec<TargetId> {
+    fn online_targets_of(&self, server: usize) -> impl Iterator<Item = TargetId> + '_ {
         self.platform
-            .targets_of(cluster::ServerId(server as u32))
-            .into_iter()
+            .targets_of(ServerId(server as u32))
             .filter(|t| self.online[t.index()])
-            .collect()
+    }
+
+    /// Number of online targets.
+    fn online_count(&self) -> usize {
+        self.online.iter().filter(|&&o| o).count()
     }
 }
 
@@ -191,37 +194,44 @@ pub trait PlacementPolicy {
 }
 
 /// The shared greedy pick of [`UtilizationFeedback`]-family policies:
-/// `want` targets minimizing `busy_fraction + BALANCE_WEIGHT *
-/// picks_already_on_that_server + extra(target)`, reusing online
-/// targets only once demand exceeds the online pool.
+/// `want` targets minimizing `(busy_fraction + BALANCE_WEIGHT *
+/// picks_already_on_that_server + extra(target), target id)`, reusing
+/// online targets only once demand exceeds the online pool.
+///
+/// Each pick is one O(targets) pass, server by server so the balance
+/// penalty is read once per server: O(want × targets) per call.
 fn busy_balanced_pick(
     view: &ClusterView<'_>,
     want: u32,
-    extra: &dyn Fn(usize) -> f64,
+    extra: impl Fn(usize) -> f64,
 ) -> Vec<TargetId> {
-    let servers = view.platform.server_count();
-    let mut server_picks = vec![0u32; servers];
+    let platform = view.platform;
+    let mut server_picks = vec![0u32; platform.server_count()];
     let mut used = vec![false; view.online.len()];
+    let mut unused_left = view.online_count();
     let mut chosen = Vec::with_capacity(want as usize);
     for _ in 0..want {
-        let unused_left = view.online.iter().enumerate().any(|(i, &o)| o && !used[i]);
-        let best = view
-            .online
-            .iter()
-            .enumerate()
-            .filter(|&(i, &o)| o && (!unused_left || !used[i]))
-            .map(|(i, _)| {
-                let t = TargetId(i as u32);
-                let s = view.platform.server_of(t).index();
-                let score =
-                    view.busy_fraction[i] + BALANCE_WEIGHT * f64::from(server_picks[s]) + extra(i);
-                (score, t)
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .expect("any_online guarantees a candidate");
-        let (_, t) = best;
-        used[t.index()] = true;
-        server_picks[view.platform.server_of(t).index()] += 1;
+        let mut best: Option<(f64, TargetId)> = None;
+        for (s, &picks) in server_picks.iter().enumerate() {
+            let penalty = BALANCE_WEIGHT * f64::from(picks);
+            for t in view.online_targets_of(s) {
+                let i = t.index();
+                if unused_left > 0 && used[i] {
+                    continue;
+                }
+                let score = view.busy_fraction[i] + penalty + extra(i);
+                // Ascending ids: on a tied score the lowest id stays.
+                if best.is_none_or(|(b, _)| score.total_cmp(&b).is_lt()) {
+                    best = Some((score, t));
+                }
+            }
+        }
+        let (_, t) = best.expect("any_online guarantees a candidate");
+        if !used[t.index()] {
+            used[t.index()] = true;
+            unused_left -= 1;
+        }
+        server_picks[platform.server_of(t).index()] += 1;
         chosen.push(t);
     }
     chosen
@@ -276,16 +286,20 @@ impl PlacementPolicy for RoundRobinServer {
         view.any_online()?;
         let servers = view.platform.server_count();
         self.slot_cursors.resize(servers, 0);
-        let per_server: Vec<Vec<TargetId>> =
-            (0..servers).map(|s| view.online_targets_of(s)).collect();
         let mut chosen = Vec::with_capacity(want as usize);
         for _ in 0..want {
-            while per_server[self.server_cursor % servers].is_empty() {
+            let (s, online) = loop {
+                let s = self.server_cursor % servers;
+                let online = view.online_targets_of(s).count();
+                if online > 0 {
+                    break (s, online);
+                }
                 self.server_cursor += 1;
-            }
-            let s = self.server_cursor % servers;
-            let list = &per_server[s];
-            let t = list[self.slot_cursors[s] % list.len()];
+            };
+            let t = view
+                .online_targets_of(s)
+                .nth(self.slot_cursors[s] % online)
+                .expect("the slot index is below the online count");
             self.slot_cursors[s] += 1;
             self.server_cursor += 1;
             chosen.push(t);
@@ -319,20 +333,17 @@ impl PlacementPolicy for LeastLoadedServer {
         let share = bytes as f64 / f64::from(want.max(1));
         let mut tentative = vec![0.0f64; servers];
         let mut used = vec![false; view.online.len()];
+        // Prefer servers that still have an unused online target; fall
+        // back to reusing targets only when the demand exceeds the
+        // online pool (wrap-around striping).
+        let mut unused_left = view.online_count();
         let mut chosen = Vec::with_capacity(want as usize);
         for _ in 0..want {
-            // Prefer servers that still have an unused online target;
-            // fall back to reusing targets only when the demand exceeds
-            // the online pool (wrap-around striping).
-            let unused_somewhere =
-                (0..servers).any(|s| view.online_targets_of(s).iter().any(|t| !used[t.index()]));
             let mut best: Option<(f64, usize, TargetId)> = None;
             for (s, tent) in tentative.iter().enumerate() {
-                let candidates = view.online_targets_of(s);
-                let pick = candidates
-                    .iter()
-                    .find(|t| !unused_somewhere || !used[t.index()])
-                    .copied();
+                let pick = view
+                    .online_targets_of(s)
+                    .find(|t| unused_left == 0 || !used[t.index()]);
                 let Some(t) = pick else { continue };
                 let load = view.outstanding_bytes[s] + tent;
                 if best.is_none_or(|(l, bs, _)| load < l || (load == l && s < bs)) {
@@ -340,7 +351,10 @@ impl PlacementPolicy for LeastLoadedServer {
                 }
             }
             let (_, s, t) = best.expect("any_online guarantees a candidate");
-            used[t.index()] = true;
+            if !used[t.index()] {
+                used[t.index()] = true;
+                unused_left -= 1;
+            }
             tentative[s] += share;
             chosen.push(t);
         }
@@ -377,7 +391,7 @@ impl PlacementPolicy for UtilizationFeedback {
         _rng: &mut StreamRng,
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
-        Ok(Placement::Pinned(busy_balanced_pick(view, want, &|_| 0.0)))
+        Ok(Placement::Pinned(busy_balanced_pick(view, want, |_| 0.0)))
     }
 }
 
@@ -412,13 +426,8 @@ impl PlacementPolicy for StragglerAware {
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
         let suspected = view.suspected;
-        let chosen = busy_balanced_pick(view, want, &|i| {
-            if suspected[i] {
-                SUSPECT_PENALTY
-            } else {
-                0.0
-            }
-        });
+        let suspect_cost = |i: usize| if suspected[i] { SUSPECT_PENALTY } else { 0.0 };
+        let chosen = busy_balanced_pick(view, want, suspect_cost);
         Ok(Placement::Pinned(chosen))
     }
 }
@@ -565,7 +574,7 @@ impl PlacementPolicy for AdaptiveStriping {
         _rng: &mut StreamRng,
     ) -> Result<Placement, PolicyError> {
         view.any_online()?;
-        Ok(Placement::Pinned(busy_balanced_pick(view, want, &|_| 0.0)))
+        Ok(Placement::Pinned(busy_balanced_pick(view, want, |_| 0.0)))
     }
 
     fn wants_feedback(&self) -> bool {
@@ -636,7 +645,7 @@ impl PlacementPolicy for AdaptiveStriping {
         let imbalanced = counts.iter().copied().max().unwrap_or(0)
             >= counts.iter().copied().min().unwrap_or(0) + 2;
         if imbalanced && obs.ideal_bps >= self.config.threshold * obs.observed_bps {
-            let candidate = busy_balanced_pick(view, obs.targets.len() as u32, &|_| 0.0);
+            let candidate = busy_balanced_pick(view, obs.targets.len() as u32, |_| 0.0);
             if distinct(&candidate) != distinct(obs.targets) {
                 return Some(RestripeDecision {
                     targets: candidate,

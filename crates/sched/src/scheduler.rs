@@ -757,14 +757,17 @@ impl<'a> Engine<'a> for Frozen<'_, '_, 'a> {
             let n = self.suspected.iter().filter(|&&s| s).count();
             reg.gauge_max("sched.suspected_targets", n as f64);
         }
-        // Refresh the per-target utilization feedback.
+        // Refresh the per-target utilization feedback. The report is in
+        // fabric order, and a fabric creates its OSTs last, in flat
+        // target order: the report's tail is the per-target entries.
         let platform = self.sched.fs.platform();
-        for t in platform.all_targets() {
-            let (server, slot) = (platform.server_of(t).index(), platform.slot_of(t));
-            let label = format!("oss{server}.ost{slot}");
-            if let Some(r) = telemetry.resources.iter().find(|r| r.label == label) {
-                self.busy_fraction[t.index()] = r.utilization(telemetry.io_secs);
-            }
+        let osts = &telemetry.resources[telemetry.resources.len() - platform.total_targets()..];
+        for (t, r) in platform.all_targets().zip(osts) {
+            debug_assert_eq!(
+                r.label,
+                format!("oss{}.ost{}", platform.server_of(t).0, platform.slot_of(t))
+            );
+            self.busy_fraction[t.index()] = r.utilization(telemetry.io_secs);
         }
         // Re-placed incumbents take their new completion (and
         // allocation) from this run.
@@ -833,7 +836,6 @@ impl ViewInputs {
         let platform = fs.platform();
         let online = platform
             .all_targets()
-            .into_iter()
             .map(|t| fs.mgmt().state(t).selectable())
             .collect();
         let mut outstanding = vec![0.0f64; platform.server_count()];

@@ -49,7 +49,6 @@ fn main() {
                     sel.extend(
                         platform
                             .targets_of(beegfs_repro::cluster::ServerId(s as u32))
-                            .into_iter()
                             .take(want),
                     );
                 }
